@@ -24,6 +24,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "expt/forensics.h"
 #include "telemetry/critical_path.h"
@@ -33,16 +35,15 @@ using namespace mar::expt;
 
 namespace {
 
-int render_ids(const TraceLog& log, const std::vector<std::uint32_t>& ids,
-               const char* what) {
+int render_ids(const TraceLog& log,
+               const std::unordered_map<std::uint32_t, const FrameEvents*>& frames,
+               const std::vector<std::uint32_t>& ids, const char* what) {
   if (ids.empty()) {
     std::printf("no %s frames in the log\n", what);
     return 0;
   }
   for (std::uint32_t id : ids) {
-    const auto tl = reconstruct_frame(log, id);
-    if (!tl) continue;
-    std::fputs(render_timeline(*tl).c_str(), stdout);
+    std::fputs(render_timeline(reconstruct_frame(log, *frames.at(id))).c_str(), stdout);
     std::fputc('\n', stdout);
   }
   return 0;
@@ -83,43 +84,39 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (mode == "--trace") {
-    const auto tl = reconstruct_frame(*log, trace_id);
-    if (!tl) {
+  // Every mode reads the log's per-frame grouping, built once.
+  const std::vector<FrameEvents> groups = group_by_trace(*log);
+  std::unordered_map<std::uint32_t, const FrameEvents*> frames;
+  for (const FrameEvents& g : groups) frames.emplace(g.trace_id, &g);
+
+  if (mode == "--trace" || mode == "--blame") {
+    const auto it = frames.find(trace_id);
+    if (it == frames.end()) {
       std::fprintf(stderr, "trace %u not found in the log\n", trace_id);
       return 1;
     }
-    std::fputs(render_timeline(*tl).c_str(), stdout);
+    const FrameEvents& frame = *it->second;
+    std::fputs(mode == "--trace"
+                   ? render_timeline(reconstruct_frame(*log, frame)).c_str()
+                   : telemetry::render_critical_path(
+                         telemetry::extract_critical_path(frame.events)).c_str(),
+               stdout);
     return 0;
   }
-  if (mode == "--blame") {
-    std::vector<telemetry::TraceEvent> events;
-    for (const auto& e : log->events) {
-      if (e.trace_id == trace_id) events.push_back(e);
-    }
-    if (events.empty()) {
-      std::fprintf(stderr, "trace %u not found in the log\n", trace_id);
-      return 1;
-    }
-    std::fputs(
-        telemetry::render_critical_path(telemetry::extract_critical_path(events)).c_str(),
-        stdout);
-    return 0;
+  if (mode == "--worst") {
+    return render_ids(*log, frames, worst_trace_ids(*log, worst_n), "traced");
   }
-  if (mode == "--worst") return render_ids(*log, worst_trace_ids(*log, worst_n), "traced");
-  if (mode == "--dropped") return render_ids(*log, dropped_trace_ids(*log), "dropped");
+  if (mode == "--dropped") return render_ids(*log, frames, dropped_trace_ids(*log), "dropped");
 
   // --list: one line per frame.
-  const auto ids = all_trace_ids(*log);
-  std::printf("%zu traced frames\n", ids.size());
-  for (std::uint32_t id : ids) {
-    const auto tl = reconstruct_frame(*log, id);
-    if (!tl) continue;
+  std::printf("%zu traced frames\n", groups.size());
+  for (const FrameEvents& g : groups) {
+    const FrameTimeline tl = reconstruct_frame(*log, g);
     std::printf("trace %-8u client %-3u frame %-6llu span %8.3f ms  verdict %-13s %s\n",
-                tl->trace_id, tl->client, static_cast<unsigned long long>(tl->frame),
-                tl->span_ms(), tl->verdict.c_str(),
-                tl->retain_reason != telemetry::RetainReason::kNone
-                    ? telemetry::to_string(tl->retain_reason)
+                tl.trace_id, tl.client, static_cast<unsigned long long>(tl.frame),
+                tl.span_ms(), tl.verdict.c_str(),
+                tl.retain_reason != telemetry::RetainReason::kNone
+                    ? telemetry::to_string(tl.retain_reason)
                     : "");
   }
   return 0;

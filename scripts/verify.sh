@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Convenience verification: tier-1 tests + the fault-recovery and
 # tail-forensics gates + the bench-regression diff + a traced
-# quickstart run + a live /metrics scrape (exemplar-aware) + a UBSan
-# pass over the telemetry/forensics tests.
+# quickstart run + every frame_forensics mode on a fresh event log +
+# a live /metrics scrape (exemplar-aware) + a UBSan pass over the
+# telemetry/forensics tests.
 #
 # Builds (if needed), runs the full ctest suite, runs the quickstart
 # with --trace_out and fails if the trace JSON is missing, empty, or
@@ -170,6 +171,30 @@ else
   done
   echo "verify: trace OK (grep checks)"
 fi
+
+# Forensics CLI: a short fixed-seed run writes a raw event log, and
+# every frame_forensics mode must read it back, exit 0 and print its
+# header line.
+EVENTS="$OUT_DIR/forensics_events.log"
+"$BUILD_DIR/examples/experiment_cli" --mode scatter --clients 2 --duration 3 --seed 7 \
+    --events_out "$EVENTS" >/dev/null
+FF="$BUILD_DIR/examples/frame_forensics"
+FF_OUT="$OUT_DIR/forensics.txt"
+ff_check() {  # ff_check <header regex> <frame_forensics args...>
+  pattern="$1"; shift
+  "$FF" "$EVENTS" "$@" >"$FF_OUT" || {
+    echo "verify: FAIL — frame_forensics $* exited nonzero" >&2; exit 1; }
+  head -n 1 "$FF_OUT" | grep -Eq "$pattern" || {
+    echo "verify: FAIL — frame_forensics $* printed no header (see $FF_OUT)" >&2; exit 1; }
+}
+ff_check '^[0-9]+ traced frames$' --list
+TRACE_ID="$(sed -n '2s/^trace \([0-9]*\) .*/\1/p' "$FF_OUT")"
+[ -n "$TRACE_ID" ] || { echo "verify: FAIL — frame_forensics --list named no frame" >&2; exit 1; }
+ff_check '^== trace ' --worst 3
+ff_check '^(== trace |no dropped frames)' --dropped
+ff_check "^== trace $TRACE_ID " --trace "$TRACE_ID"
+ff_check "^critical path trace#$TRACE_ID " --blame "$TRACE_ID"
+echo "verify: forensics CLI OK (trace $TRACE_ID)"
 
 # Live metrics plane: background the quickstart on an ephemeral port,
 # grab the bound port from its stdout, and scrape it while it serves.

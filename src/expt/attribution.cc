@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_map>
+#include <utility>
 
 #include "expt/table.h"
 #include "telemetry/registry.h"
@@ -43,20 +43,11 @@ void append(std::string& out, const char* fmt, ...) {
 BlameReport build_blame_report(const TraceLog& log) {
   BlameReport r;
 
-  // Group the log's events per traced frame, preserving record order
-  // within each frame (the extractor breaks ts ties by input order).
-  std::unordered_map<std::uint32_t, std::vector<telemetry::TraceEvent>> by_trace;
-  std::vector<std::uint32_t> order;  // first-seen, for determinism
-  for (const auto& e : log.events) {
-    if (e.trace_id == 0) continue;
-    auto [it, fresh] = by_trace.try_emplace(e.trace_id);
-    if (fresh) order.push_back(e.trace_id);
-    it->second.push_back(e);
-  }
-
+  // Frames in first-seen order, each in record order (the extractor
+  // breaks ts ties by input order).
   std::vector<CriticalPath> delivered;
-  for (std::uint32_t id : order) {
-    CriticalPath cp = telemetry::extract_critical_path(by_trace[id]);
+  for (FrameEvents& frame : group_by_trace(log)) {
+    CriticalPath cp = telemetry::extract_critical_path(std::move(frame.events));
     ++r.frames_total;
     r.open_spans += cp.open_spans;
     r.orphan_ends += cp.orphan_ends;

@@ -4,27 +4,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
-#include <tuple>
 
 namespace mar::expt {
 namespace {
 
 using telemetry::TraceEvent;
 using telemetry::TracePhase;
-
-bool is_terminal_drop_name(const char* name) {
-  namespace spans = telemetry::spans;
-  static constexpr const char* kDropNames[] = {
-      spans::kDropBusy, spans::kDropStale, spans::kDropOverflow, spans::kDropDown,
-      spans::kPacketLoss, spans::kTailDrop, spans::kFetchTimeout,
-  };
-  for (const char* d : kDropNames) {
-    if (std::strcmp(name, d) == 0) return true;
-  }
-  return false;
-}
 
 std::string fmt_ms(double ms) {
   char buf[48];
@@ -87,105 +73,55 @@ std::optional<TraceLog> load_trace_log(const std::string& path) {
   return parse_trace_log(body.str());
 }
 
-std::optional<FrameTimeline> reconstruct_frame(const TraceLog& log,
-                                               std::uint32_t trace_id) {
-  if (trace_id == 0) return std::nullopt;
-  FrameTimeline tl;
-  tl.trace_id = trace_id;
-  bool any = false;
-
-  // Begin/end pairing per {track, name, stage}, record order — the
-  // same key the Tracer's exporters use, scoped to this one frame.
-  using Key = std::tuple<std::uint32_t, std::string, std::uint8_t>;
-  std::map<Key, std::vector<std::pair<SimTime, double>>> open;
-
+std::vector<FrameEvents> group_by_trace(const TraceLog& log) {
+  std::vector<FrameEvents> out;
+  std::unordered_map<std::uint32_t, std::size_t> index;
   for (const TraceEvent& e : log.events) {
-    if (e.trace_id != trace_id) continue;
-    if (!any) {
-      tl.capture_ts = e.ts;
-      tl.client = e.client;
-      tl.frame = e.frame;
-      any = true;
-    }
-    tl.last_ts = std::max(tl.last_ts, e.ts + (e.phase == TracePhase::kComplete ? e.dur : 0));
-    const Key key{e.track, e.name, static_cast<std::uint8_t>(e.stage)};
-    switch (e.phase) {
-      case TracePhase::kBegin:
-        open[key].push_back({e.ts, e.value});
-        break;
-      case TracePhase::kEnd: {
-        TimelineHop hop;
-        auto it = open.find(key);
-        if (it != open.end() && !it->second.empty()) {
-          hop.start = it->second.back().first;
-          hop.value = it->second.back().second;
-          it->second.pop_back();
-        } else {
-          hop.start = e.ts;  // clipped begin: zero-length marker
-        }
-        hop.end = e.ts;
-        hop.track = log.track_label(e.track);
-        hop.name = e.name;
-        hop.stage = e.stage;
-        hop.phase = TracePhase::kEnd;
-        tl.hops.push_back(std::move(hop));
-        if (std::strcmp(e.name, telemetry::spans::kFrameE2e) == 0) {
-          tl.verdict = "result";
-        }
-        break;
-      }
-      case TracePhase::kComplete: {
-        TimelineHop hop;
-        hop.start = e.ts;
-        hop.end = e.ts + e.dur;
-        hop.track = log.track_label(e.track);
-        hop.name = e.name;
-        hop.stage = e.stage;
-        hop.phase = TracePhase::kComplete;
-        hop.value = e.value;
-        tl.hops.push_back(std::move(hop));
-        break;
-      }
-      case TracePhase::kInstant: {
-        if (std::strcmp(e.name, telemetry::spans::kRetained) == 0) {
-          tl.retain_reason = static_cast<telemetry::RetainReason>(
-              static_cast<int>(e.value));
-          break;  // synthetic marker, not a hop
-        }
-        TimelineHop hop;
-        hop.start = e.ts;
-        hop.end = e.ts;
-        hop.track = log.track_label(e.track);
-        hop.name = e.name;
-        hop.stage = e.stage;
-        hop.phase = TracePhase::kInstant;
-        hop.value = e.value;
-        tl.hops.push_back(std::move(hop));
-        if (is_terminal_drop_name(e.name)) tl.verdict = e.name;
-        break;
-      }
-      case TracePhase::kCounter:
-        break;  // counters are not frame-scoped
-    }
+    if (e.trace_id == 0) continue;
+    auto [it, inserted] = index.try_emplace(e.trace_id, out.size());
+    if (inserted) out.push_back(FrameEvents{e.trace_id, {}});
+    out[it->second].events.push_back(&e);
   }
-  if (!any) return std::nullopt;
+  return out;
+}
+
+FrameTimeline reconstruct_frame(const TraceLog& log, const FrameEvents& frame) {
+  FrameTimeline tl;
+  tl.trace_id = frame.trace_id;
+  tl.capture_ts = frame.events.front()->ts;
+  tl.client = frame.events.front()->client;
+  tl.frame = frame.events.front()->frame;
+
+  telemetry::SpanPairing pairing;
+  for (const TraceEvent* e : frame.events) {
+    tl.last_ts = std::max(tl.last_ts, e->end_ts());
+    pairing.add(*e);
+  }
+
+  for (const telemetry::PairedSpan& s : pairing.spans()) {
+    const TraceEvent& e = *s.event;
+    if (e.phase == TracePhase::kInstant) {
+      if (std::strcmp(e.name, telemetry::spans::kRetained) == 0) {
+        tl.retain_reason = static_cast<telemetry::RetainReason>(static_cast<int>(e.value));
+        continue;  // synthetic marker, not a hop
+      }
+      if (telemetry::spans::is_terminal_drop(e.name)) tl.verdict = e.name;
+    } else if (e.phase == TracePhase::kEnd &&
+               std::strcmp(e.name, telemetry::spans::kFrameE2e) == 0) {
+      tl.verdict = "result";
+    }
+    // An orphan end (clipped begin) becomes a zero-length marker.
+    const double value = s.begin != nullptr ? s.begin->value : s.orphan_end() ? 0.0 : e.value;
+    tl.hops.push_back(TimelineHop{s.start(), s.end(), log.track_label(e.track), e.name,
+                                  e.stage, e.phase, value});
+  }
 
   // Spans still open at the end of the log (the frame died mid-hop, or
   // the run ended): surface them as open hops so the timeline shows
   // where the frame was stuck.
-  for (auto& [key, starts] : open) {
-    for (const auto& [start, value] : starts) {
-      TimelineHop hop;
-      hop.start = start;
-      hop.end = start;
-      hop.track = log.track_label(std::get<0>(key));
-      hop.name = std::get<1>(key);
-      hop.stage = static_cast<Stage>(std::get<2>(key));
-      hop.phase = TracePhase::kBegin;
-      hop.value = value;
-      hop.open = true;
-      tl.hops.push_back(std::move(hop));
-    }
+  for (const TraceEvent* b : pairing.unclosed()) {
+    tl.hops.push_back(TimelineHop{b->ts, b->ts, log.track_label(b->track), b->name, b->stage,
+                                  TracePhase::kBegin, b->value, /*open=*/true});
   }
 
   std::stable_sort(tl.hops.begin(), tl.hops.end(),
@@ -193,6 +129,17 @@ std::optional<FrameTimeline> reconstruct_frame(const TraceLog& log,
                      return a.start < b.start;
                    });
   return tl;
+}
+
+std::optional<FrameTimeline> reconstruct_frame(const TraceLog& log,
+                                               std::uint32_t trace_id) {
+  if (trace_id == 0) return std::nullopt;
+  FrameEvents frame{trace_id, {}};
+  for (const TraceEvent& e : log.events) {
+    if (e.trace_id == trace_id) frame.events.push_back(&e);
+  }
+  if (frame.events.empty()) return std::nullopt;
+  return reconstruct_frame(log, frame);
 }
 
 std::string render_timeline(const FrameTimeline& tl) {
@@ -250,57 +197,30 @@ std::string render_timeline(const FrameTimeline& tl) {
   return out.str();
 }
 
-namespace {
-
-// Per-id first/last timestamps plus drop verdicts in one pass.
-struct IdSpan {
-  SimTime first = 0;
-  SimTime last = 0;
-  bool dropped = false;
-};
-
-std::vector<std::pair<std::uint32_t, IdSpan>> id_spans(const TraceLog& log) {
-  std::vector<std::pair<std::uint32_t, IdSpan>> order;
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (const TraceEvent& e : log.events) {
-    if (e.trace_id == 0) continue;
-    auto [it, inserted] = index.try_emplace(e.trace_id, order.size());
-    if (inserted) order.push_back({e.trace_id, IdSpan{e.ts, e.ts, false}});
-    IdSpan& s = order[it->second].second;
-    s.last = std::max(s.last, e.ts + (e.phase == TracePhase::kComplete ? e.dur : 0));
-    if (e.phase == TracePhase::kInstant && is_terminal_drop_name(e.name)) {
-      s.dropped = true;
-    }
-  }
-  return order;
-}
-
-}  // namespace
-
 std::vector<std::uint32_t> worst_trace_ids(const TraceLog& log, std::size_t n) {
-  auto spans = id_spans(log);
-  std::stable_sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
-    return a.second.last - a.second.first > b.second.last - b.second.first;
-  });
-  std::vector<std::uint32_t> out;
-  for (const auto& [id, span] : spans) {
-    if (out.size() >= n) break;
-    out.push_back(id);
+  // Capture-to-verdict span per frame.
+  std::vector<std::pair<std::uint32_t, SimTime>> spans;
+  for (const FrameEvents& frame : group_by_trace(log)) {
+    SimTime last = frame.events.front()->ts;
+    for (const TraceEvent* e : frame.events) last = std::max(last, e->end_ts());
+    spans.emplace_back(frame.trace_id, last - frame.events.front()->ts);
   }
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const auto& a, const auto& b) { return a.second > b.second; });
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < std::min(n, spans.size()); ++i) out.push_back(spans[i].first);
   return out;
 }
 
 std::vector<std::uint32_t> dropped_trace_ids(const TraceLog& log) {
   std::vector<std::uint32_t> out;
-  for (const auto& [id, span] : id_spans(log)) {
-    if (span.dropped) out.push_back(id);
+  for (const FrameEvents& frame : group_by_trace(log)) {
+    if (std::any_of(frame.events.begin(), frame.events.end(), [](const TraceEvent* e) {
+          return e->phase == TracePhase::kInstant && telemetry::spans::is_terminal_drop(e->name);
+        })) {
+      out.push_back(frame.trace_id);
+    }
   }
-  return out;
-}
-
-std::vector<std::uint32_t> all_trace_ids(const TraceLog& log) {
-  std::vector<std::uint32_t> out;
-  for (const auto& [id, span] : id_spans(log)) out.push_back(id);
   return out;
 }
 

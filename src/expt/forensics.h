@@ -3,13 +3,15 @@
 //
 // Input is either the live Tracer ring (from_tracer()) or an event log
 // written by Tracer::write_event_log() and read back with
-// load_trace_log() — the format the frame_forensics CLI consumes. The
-// reconstruction pairs begin/end spans per {track, name, stage}, keeps
-// kComplete spans and instants as-is, and derives the frame's verdict:
-// a delivered result (frame_e2e closed), a terminal drop/loss instant,
-// or an incomplete timeline (the run ended mid-flight). The synthetic
-// `retained` instant, when present, names why tail retention kept the
-// trace.
+// load_trace_log() — the format the frame_forensics CLI consumes.
+// group_by_trace() splits a log into per-frame event lists once; the
+// reconstruction reads one of them through telemetry::SpanPairing (the
+// pairing walk the exporters and the critical-path extractor share),
+// keeps kComplete spans and instants as-is, and derives the frame's
+// verdict: a delivered result (frame_e2e closed), a terminal drop
+// instant (spans::is_terminal_drop), or an incomplete timeline (the
+// run ended mid-flight). The synthetic `retained` instant, when
+// present, names why tail retention kept the trace.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +72,8 @@ struct FrameTimeline {
   std::uint64_t frame = 0;
   SimTime capture_ts = 0;  // first event of the frame
   SimTime last_ts = 0;     // last event (verdict time)
-  // "result", a terminal drop name ("drop_stale", "pkt_loss", ...), or
-  // "incomplete" when the timeline has neither.
+  // "result", a terminal drop name ("drop_stale", "pkt_loss",
+  // "frame_unrecoverable", ...), or "incomplete" when it has neither.
   std::string verdict = "incomplete";
   // Why tail retention kept this trace (kNone when the frame was
   // head-sampled straight into the durable ring).
@@ -82,8 +84,19 @@ struct FrameTimeline {
   [[nodiscard]] bool complete() const { return verdict != "incomplete"; }
 };
 
-// Rebuild the timeline of one traced frame. nullopt when the log holds
-// no events for `trace_id`.
+// One traced frame's events, in record order (pointers into a TraceLog).
+struct FrameEvents {
+  std::uint32_t trace_id = 0;
+  std::vector<const telemetry::TraceEvent*> events;  // never empty
+};
+
+// Every traced frame of the log, in first-seen order.
+[[nodiscard]] std::vector<FrameEvents> group_by_trace(const TraceLog& log);
+
+// Rebuild the timeline of one traced frame of `log`.
+[[nodiscard]] FrameTimeline reconstruct_frame(const TraceLog& log, const FrameEvents& frame);
+// Same, looked up by id. nullopt when the log holds no events for
+// `trace_id`.
 [[nodiscard]] std::optional<FrameTimeline> reconstruct_frame(const TraceLog& log,
                                                              std::uint32_t trace_id);
 
@@ -94,10 +107,8 @@ struct FrameTimeline {
 // frames never produced any event are absent by construction).
 [[nodiscard]] std::vector<std::uint32_t> worst_trace_ids(const TraceLog& log,
                                                          std::size_t n);
-// Trace ids whose timeline ends in a terminal drop/loss instant, in
-// first-seen order.
+// Trace ids whose timeline holds a terminal drop instant, in first-seen
+// order.
 [[nodiscard]] std::vector<std::uint32_t> dropped_trace_ids(const TraceLog& log);
-// Every trace id present in the log, in first-seen order.
-[[nodiscard]] std::vector<std::uint32_t> all_trace_ids(const TraceLog& log);
 
 }  // namespace mar::expt

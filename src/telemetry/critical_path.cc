@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <string_view>
-#include <tuple>
 
 namespace mar::telemetry {
 namespace {
@@ -30,11 +28,10 @@ PathComponent component_of(std::string_view name) {
   return PathComponent::kGap;  // kLink is classified separately
 }
 
-bool is_terminal_instant(std::string_view name) {
-  return name == spans::kDropBusy || name == spans::kDropStale ||
-         name == spans::kDropOverflow || name == spans::kDropDown ||
-         name == spans::kPacketLoss || name == spans::kTailDrop ||
-         name == spans::kFetchTimeout || name == spans::kUnrecoverable;
+// Spans that claim envelope time: the prioritised components plus link
+// transits (frame_e2e is the envelope itself).
+bool is_path_span(std::string_view name) {
+  return component_of(name) != PathComponent::kGap || name == spans::kLink;
 }
 
 }  // namespace
@@ -65,27 +62,24 @@ const char* to_string(PathComponent c) {
   return "?";
 }
 
-CriticalPath extract_critical_path(const TraceEvent* events, std::size_t n) {
+CriticalPath extract_critical_path(std::vector<const TraceEvent*> events) {
   CriticalPath cp;
-  if (n == 0) return cp;
+  if (events.empty()) return cp;
 
   // Chronological order; ties keep record order (the ring is causal).
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return events[a].ts < events[b].ts; });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) { return a->ts < b->ts; });
 
   // Envelope + identity + verdict.
-  SimTime first_ts = events[order.front()].ts;
-  SimTime last_ts = events[order.front()].ts;
+  SimTime first_ts = events.front()->ts;
+  SimTime last_ts = events.front()->ts;
   SimTime e2e_begin = -1;
   SimTime e2e_end = -1;
-  for (std::size_t idx : order) {
-    const TraceEvent& e = events[idx];
+  for (const TraceEvent* ev : events) {
+    const TraceEvent& e = *ev;
     if (e.phase == TracePhase::kCounter) continue;
     first_ts = std::min(first_ts, e.ts);
-    const SimTime ev_end = e.phase == TracePhase::kComplete ? e.ts + e.dur : e.ts;
-    last_ts = std::max(last_ts, ev_end);
+    last_ts = std::max(last_ts, e.end_ts());
     if (cp.trace_id == 0 && e.trace_id != 0) cp.trace_id = e.trace_id;
     if (cp.client == ClientId::kInvalid || cp.client == 0) cp.client = e.client;
     if (cp.frame == FrameId::kInvalid || cp.frame == 0) cp.frame = e.frame;
@@ -94,7 +88,7 @@ CriticalPath extract_critical_path(const TraceEvent* events, std::size_t n) {
       if (e.phase == TracePhase::kBegin) e2e_begin = e.ts;
       if (e.phase == TracePhase::kEnd) e2e_end = e.ts;
     }
-    if (e.phase == TracePhase::kInstant && is_terminal_instant(name)) {
+    if (e.phase == TracePhase::kInstant && spans::is_terminal_drop(name)) {
       cp.verdict = std::string(name);
     }
   }
@@ -106,55 +100,35 @@ CriticalPath extract_critical_path(const TraceEvent* events, std::size_t n) {
   }
   if (cp.end < cp.start) cp.end = cp.start;
 
-  // Pair begin/end per {track, name, stage}; collect intervals.
+  // Pair begin/end in chronological order; collect path intervals.
+  SpanPairing pairing;
+  for (const TraceEvent* ev : events) pairing.add(*ev);
   std::vector<Interval> intervals;
   std::vector<Interval> links;  // classified upload/network/download below
-  std::map<std::tuple<std::uint32_t, std::string_view, int>, std::vector<Interval>> open;
-  for (std::size_t idx : order) {
-    const TraceEvent& e = events[idx];
+  for (const PairedSpan& s : pairing.spans()) {
+    const TraceEvent& e = *s.event;
     const std::string_view name(e.name);
-    if (name == spans::kFrameE2e || e.phase == TracePhase::kCounter ||
-        e.phase == TracePhase::kInstant) {
+    if (e.phase == TracePhase::kInstant || !is_path_span(name)) continue;
+    if (s.orphan_end()) {
+      // An end whose begin lives on another track — the failover
+      // respawn finishing a dead replica's span. No interval.
+      ++cp.orphan_ends;
       continue;
     }
-    if (e.phase == TracePhase::kComplete) {
-      Interval iv{e.ts, e.ts + e.dur, component_of(name), e.stage};
-      if (name == spans::kLink) {
-        links.push_back(iv);
-      } else if (name == spans::kRtxStall) {
-        intervals.push_back(iv);
-      } else if (iv.component != PathComponent::kGap) {
-        intervals.push_back(iv);
-      }
-      continue;
-    }
-    const PathComponent comp = component_of(name);
-    if (comp == PathComponent::kGap && name != spans::kLink) continue;  // not a path span
-    const auto key = std::make_tuple(e.track, name, static_cast<int>(e.stage));
-    if (e.phase == TracePhase::kBegin) {
-      open[key].push_back(Interval{e.ts, -1, comp, e.stage});
-    } else {  // kEnd
-      auto it = open.find(key);
-      if (it == open.end() || it->second.empty()) {
-        // An end whose begin lives on another track — the failover
-        // respawn finishing a dead replica's span. No interval.
-        ++cp.orphan_ends;
-        continue;
-      }
-      Interval iv = it->second.back();
-      it->second.pop_back();
-      iv.end = e.ts;
+    const Interval iv{s.start(), s.end(), component_of(name), e.stage};
+    if (e.phase == TracePhase::kComplete && name == spans::kLink) {
+      links.push_back(iv);
+    } else {
       intervals.push_back(iv);
     }
   }
   // Begins that never closed: the replica died or the run was clipped
   // mid-flight. The wait was real up to the frame's last event.
-  for (auto& [key, stack] : open) {
-    for (Interval iv : stack) {
-      ++cp.open_spans;
-      iv.end = std::max(cp.end, iv.start);
-      intervals.push_back(iv);
-    }
+  for (const TraceEvent* b : pairing.unclosed()) {
+    const std::string_view name(b->name);
+    if (!is_path_span(name)) continue;
+    ++cp.open_spans;
+    intervals.push_back(Interval{b->ts, std::max(cp.end, b->ts), component_of(name), b->stage});
   }
 
   // Classify link hops: first transit is the client upload; the final

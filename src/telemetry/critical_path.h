@@ -4,12 +4,12 @@
 //
 // The Tracer records what each hop *did* (queue waits, service spans,
 // link transits, fetch round trips) across many tracks; this module
-// answers what the frame *waited on*. The extractor pairs begin/end
-// events per {track, name, stage} (the same pairing rule as
-// expt::reconstruct_frame), clips everything to the frame's envelope
-// (frame_e2e when present, first..last event otherwise), and then
-// attributes each elementary time slice to the highest-priority span
-// covering it:
+// answers what the frame *waited on*. The extractor sorts the frame's
+// events by timestamp, pairs them with telemetry::SpanPairing (the one
+// pairing walk the exporters and expt::reconstruct_frame also read),
+// clips everything to the frame's envelope (frame_e2e when present,
+// first..last event otherwise), and then attributes each elementary
+// time slice to the highest-priority span covering it:
 //
 //   state_fetch > rtx_stall > rpc_handoff > sidecar_queue >
 //   socket_buffer > service > link (upload/network/download) > gap
@@ -27,14 +27,15 @@
 // clamped to the frame's last event and counted in open_spans; an end
 // with no begin (the PR 4 failover respawn finishes a span whose begin
 // happened on the dead replica's track) is counted in orphan_ends and
-// contributes no interval. A frame whose chain ends at a drop_*/loss
-// instant keeps that name as its verdict, so blame reports can split
-// delivered from dropped populations.
+// contributes no interval. A frame whose chain ends at a terminal drop
+// instant (spans::is_terminal_drop) keeps that name as its verdict, so
+// blame reports can split delivered from dropped populations.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -107,7 +108,13 @@ struct CriticalPath {
 // Extract the critical path from the events of ONE frame (all sharing
 // a trace_id; callers filter). Events may arrive in any order; ties on
 // timestamp keep record order, matching the Tracer ring.
-[[nodiscard]] CriticalPath extract_critical_path(const TraceEvent* events, std::size_t n);
+[[nodiscard]] CriticalPath extract_critical_path(std::vector<const TraceEvent*> events);
+
+inline CriticalPath extract_critical_path(const TraceEvent* events, std::size_t n) {
+  std::vector<const TraceEvent*> refs(n);
+  for (std::size_t i = 0; i < n; ++i) refs[i] = &events[i];
+  return extract_critical_path(std::move(refs));
+}
 
 inline CriticalPath extract_critical_path(const std::vector<TraceEvent>& events) {
   return extract_critical_path(events.data(), events.size());

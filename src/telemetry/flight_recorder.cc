@@ -1,7 +1,6 @@
 #include "telemetry/flight_recorder.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace mar::telemetry {
 
@@ -10,20 +9,6 @@ std::atomic<bool> g_flight_enabled{false};
 }  // namespace internal
 
 namespace {
-
-// Terminal events: after one of these the client never closes the
-// frame, so the retention verdict has to be taken on the spot.
-bool is_terminal_drop(const TraceEvent& e) {
-  if (e.phase != TracePhase::kInstant) return false;
-  static constexpr const char* kDropNames[] = {
-      spans::kDropBusy, spans::kDropStale, spans::kDropOverflow, spans::kDropDown,
-      spans::kPacketLoss, spans::kTailDrop, spans::kFetchTimeout,
-  };
-  for (const char* name : kDropNames) {
-    if (std::strcmp(e.name, name) == 0) return true;
-  }
-  return false;
-}
 
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -91,7 +76,9 @@ bool FlightRecorder::try_record(const TraceEvent& e) {
   if (slot == nullptr || slot->id.load(std::memory_order_acquire) != e.trace_id) {
     return false;
   }
-  if (is_terminal_drop(e)) {
+  // After a terminal drop the client never closes the frame, so the
+  // retention verdict has to be taken on the spot.
+  if (e.phase == TracePhase::kInstant && spans::is_terminal_drop(e.name)) {
     drop_flushed_.fetch_add(1, std::memory_order_relaxed);
     flush(*slot, &e, ClientId{e.client}, FrameId{e.frame}, e.ts, e.trace_id,
           RetainReason::kDrop);

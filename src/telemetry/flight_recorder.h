@@ -16,12 +16,13 @@
 //    sharding falls out of the trace-id mapping. No allocation happens
 //    after configure(); the hot path is one relaxed load when flight
 //    recording is off, and an id check plus a count fetch_add when on.
-//  * Drop/loss instants (drop_busy, drop_stale, drop_overflow,
-//    drop_down, pkt_loss, pkt_taildrop, fetch_timeout) are terminal for
-//    a frame — the client will never close it — so recording one
-//    immediately flushes the buffer into the durable ring (reason
-//    kDrop) and frees the slot. Later events of the same frame, if any,
-//    fall through to the ring directly, keeping the timeline complete.
+//  * Drop/loss instants (spans::is_terminal_drop: drop_busy,
+//    drop_stale, drop_overflow, drop_down, pkt_loss, pkt_taildrop,
+//    fetch_timeout, frame_unrecoverable) are terminal for a frame —
+//    the client will never close it — so recording one immediately
+//    flushes the buffer into the durable ring (reason kDrop) and frees
+//    the slot. Later events of the same frame, if any, fall through to
+//    the ring directly, keeping the timeline complete.
 //  * A slot whose occupant never completed (e.g. a frame silently
 //    swallowed by a dead endpoint) is evicted when a colliding trace_id
 //    opens it; evictions are counted, not promoted.

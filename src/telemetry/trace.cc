@@ -4,25 +4,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <sstream>
-#include <string_view>
-#include <tuple>
 
 #include "common/parallel.h"
 #include "telemetry/flight_recorder.h"
 
 namespace mar::telemetry {
 namespace {
-
-// Pairing key for begin/end events. Names are compared by content (two
-// translation units may hold distinct copies of the same literal).
-using SpanKey = std::tuple<std::uint32_t, std::string_view, std::uint32_t, std::uint64_t,
-                           std::uint8_t>;
-
-SpanKey key_of(const TraceEvent& e) {
-  return {e.track, e.name, e.client, e.frame, static_cast<std::uint8_t>(e.stage)};
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -151,36 +141,63 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   return {events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(size())};
 }
 
+void SpanPairing::add(const TraceEvent& e) {
+  switch (e.phase) {
+    case TracePhase::kBegin:
+      open_[Key{e.track, e.name, e.client, e.frame, static_cast<std::uint8_t>(e.stage)}]
+          .push_back(&e);
+      break;
+    case TracePhase::kEnd: {
+      auto it = open_.find(
+          Key{e.track, e.name, e.client, e.frame, static_cast<std::uint8_t>(e.stage)});
+      if (it == open_.end()) {
+        spans_.push_back(PairedSpan{nullptr, &e});  // orphan end
+        break;
+      }
+      spans_.push_back(PairedSpan{it->second.back(), &e});
+      it->second.pop_back();
+      if (it->second.empty()) open_.erase(it);
+      break;
+    }
+    case TracePhase::kComplete:
+    case TracePhase::kInstant:
+      spans_.push_back(PairedSpan{nullptr, &e});
+      break;
+    case TracePhase::kCounter:
+      break;
+  }
+}
+
+std::vector<const TraceEvent*> SpanPairing::unclosed() const {
+  std::vector<const TraceEvent*> out;
+  for (const auto& [key, stack] : open_) out.insert(out.end(), stack.begin(), stack.end());
+  return out;
+}
+
+namespace {
+
+// The ring's spans named `name` (the other names never pair with them).
+SpanPairing pair_named(const std::vector<TraceEvent>& events, std::size_t n,
+                       const char* name) {
+  SpanPairing pairing;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::strcmp(events[i].name, name) == 0) pairing.add(events[i]);
+  }
+  return pairing;
+}
+
+}  // namespace
+
 std::vector<TrackSpanStats> Tracer::replica_spans(const char* name,
                                                   SimTime min_end_ts) const {
-  // Pair begins with ends per key in record order (spans of one key on
-  // one single-threaded track never overlap, but a stack keeps this
-  // correct even if they did).
-  std::map<SpanKey, std::vector<SimTime>> open;
   std::map<std::uint32_t, TrackSpanStats> per_track;
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceEvent& e = events_[i];
-    if (std::strcmp(e.name, name) != 0) continue;
-    if (e.phase == TracePhase::kBegin) {
-      open[key_of(e)].push_back(e.ts);
-    } else if (e.phase == TracePhase::kEnd || e.phase == TracePhase::kComplete) {
-      SimTime begin_ts = 0;
-      if (e.phase == TracePhase::kComplete) {
-        begin_ts = e.ts;
-      } else {
-        auto it = open.find(key_of(e));
-        if (it == open.end() || it->second.empty()) continue;  // unmatched end
-        begin_ts = it->second.back();
-        it->second.pop_back();
-      }
-      const SimTime end_ts = e.phase == TracePhase::kComplete ? e.ts + e.dur : e.ts;
-      if (end_ts < min_end_ts) continue;
-      TrackSpanStats& t = per_track[e.track];
-      t.track = e.track;
-      t.stage = e.stage;
-      t.ms.add(to_millis(end_ts - begin_ts));
-    }
+  const SpanPairing pairing = pair_named(events_, size(), name);
+  for (const PairedSpan& s : pairing.spans()) {
+    if (!s.timed() || s.end() < min_end_ts) continue;
+    TrackSpanStats& t = per_track[s.event->track];
+    t.track = s.event->track;
+    t.stage = s.event->stage;
+    t.ms.add(to_millis(s.end() - s.start()));
   }
   std::vector<TrackSpanStats> out;
   out.reserve(per_track.size());
@@ -191,26 +208,11 @@ std::vector<TrackSpanStats> Tracer::replica_spans(const char* name,
 std::array<Accumulator, kNumStages> Tracer::stage_spans(const char* name,
                                                         SimTime min_end_ts) const {
   std::array<Accumulator, kNumStages> out;
-  std::map<SpanKey, std::vector<SimTime>> open;
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceEvent& e = events_[i];
-    if (std::strcmp(e.name, name) != 0) continue;
-    const auto stage_idx = static_cast<std::size_t>(e.stage);
-    if (e.phase == TracePhase::kBegin) {
-      open[key_of(e)].push_back(e.ts);
-    } else if (e.phase == TracePhase::kComplete) {
-      if (stage_idx < kNumStages && e.ts + e.dur >= min_end_ts) {
-        out[stage_idx].add(to_millis(e.dur));
-      }
-    } else if (e.phase == TracePhase::kEnd) {
-      auto it = open.find(key_of(e));
-      if (it == open.end() || it->second.empty()) continue;
-      const SimTime begin_ts = it->second.back();
-      it->second.pop_back();
-      if (stage_idx < kNumStages && e.ts >= min_end_ts) {
-        out[stage_idx].add(to_millis(e.ts - begin_ts));
-      }
+  const SpanPairing pairing = pair_named(events_, size(), name);
+  for (const PairedSpan& s : pairing.spans()) {
+    const auto stage_idx = static_cast<std::size_t>(s.event->stage);
+    if (s.timed() && stage_idx < kNumStages && s.end() >= min_end_ts) {
+      out[stage_idx].add(to_millis(s.end() - s.start()));
     }
   }
   return out;
@@ -241,46 +243,37 @@ std::string Tracer::chrome_trace_json() const {
     return id ? ",\"trace\":" + std::to_string(id) : std::string();
   };
 
-  std::map<SpanKey, std::vector<std::size_t>> open;
+  // Paired spans come out in record order of the event that produced
+  // them; counters, which the pairing skips, are merged back in place.
   const std::size_t n = size();
+  const SpanPairing pairing(events_.data(), n);
+  const std::vector<PairedSpan>& paired = pairing.spans();
+  std::size_t next = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const TraceEvent& e = events_[i];
-    const char* stage_name = to_string(e.stage);
-    switch (e.phase) {
-      case TracePhase::kBegin:
-        open[key_of(e)].push_back(i);
-        break;
-      case TracePhase::kEnd: {
-        auto it = open.find(key_of(e));
-        if (it == open.end() || it->second.empty()) break;  // clipped begin
-        const TraceEvent& b = events_[it->second.back()];
-        it->second.pop_back();
-        sep() << "{\"ph\":\"X\",\"pid\":" << b.track << ",\"tid\":" << b.lane
-              << ",\"ts\":" << fmt_us(b.ts) << ",\"dur\":" << fmt_us(e.ts - b.ts)
-              << ",\"name\":\"" << b.name << "\",\"cat\":\"" << stage_name
-              << "\",\"args\":{\"client\":" << b.client << ",\"frame\":" << b.frame
-              << trace_arg(b.trace_id) << "}}";
-        break;
-      }
-      case TracePhase::kComplete:
-        sep() << "{\"ph\":\"X\",\"pid\":" << e.track << ",\"tid\":" << e.lane
-              << ",\"ts\":" << fmt_us(e.ts) << ",\"dur\":" << fmt_us(e.dur)
-              << ",\"name\":\"" << e.name << "\",\"cat\":\"" << stage_name
-              << "\",\"args\":{\"client\":" << e.client << ",\"frame\":" << e.frame
-              << trace_arg(e.trace_id) << "}}";
-        break;
-      case TracePhase::kInstant:
-        sep() << "{\"ph\":\"i\",\"pid\":" << e.track << ",\"tid\":" << e.lane
-              << ",\"ts\":" << fmt_us(e.ts) << ",\"name\":\"" << e.name
-              << "\",\"cat\":\"" << stage_name << "\",\"s\":\"p\",\"args\":{\"client\":"
-              << e.client << ",\"frame\":" << e.frame << trace_arg(e.trace_id) << "}}";
-        break;
-      case TracePhase::kCounter:
-        sep() << "{\"ph\":\"C\",\"pid\":" << e.track << ",\"ts\":" << fmt_us(e.ts)
-              << ",\"name\":\"" << e.name << "\",\"args\":{\"value\":" << fmt_val(e.value)
-              << "}}";
-        break;
+    if (e.phase == TracePhase::kCounter) {
+      sep() << "{\"ph\":\"C\",\"pid\":" << e.track << ",\"ts\":" << fmt_us(e.ts)
+            << ",\"name\":\"" << e.name << "\",\"args\":{\"value\":" << fmt_val(e.value)
+            << "}}";
+      continue;
     }
+    if (next == paired.size() || paired[next].event != &e) continue;  // a begin
+    const PairedSpan& s = paired[next++];
+    if (s.orphan_end()) continue;  // its begin was clipped
+    const TraceEvent& b = s.begin != nullptr ? *s.begin : e;
+    const char* stage_name = to_string(e.stage);
+    if (e.phase == TracePhase::kInstant) {
+      sep() << "{\"ph\":\"i\",\"pid\":" << e.track << ",\"tid\":" << e.lane
+            << ",\"ts\":" << fmt_us(e.ts) << ",\"name\":\"" << e.name
+            << "\",\"cat\":\"" << stage_name << "\",\"s\":\"p\",\"args\":{\"client\":"
+            << e.client << ",\"frame\":" << e.frame << trace_arg(e.trace_id) << "}}";
+      continue;
+    }
+    sep() << "{\"ph\":\"X\",\"pid\":" << b.track << ",\"tid\":" << b.lane
+          << ",\"ts\":" << fmt_us(b.ts) << ",\"dur\":" << fmt_us(s.end() - s.start())
+          << ",\"name\":\"" << b.name << "\",\"cat\":\"" << stage_name
+          << "\",\"args\":{\"client\":" << b.client << ",\"frame\":" << b.frame
+          << trace_arg(b.trace_id) << "}}";
   }
   out << "],\"displayTimeUnit\":\"ms\"}\n";
   return out.str();
@@ -312,8 +305,22 @@ std::string Tracer::prometheus_text() const {
       << "# TYPE mar_trace_span_ms gauge\n"
       << "# HELP mar_trace_span_count Number of matched trace spans.\n"
       << "# TYPE mar_trace_span_count gauge\n";
-  for (const char* name : kSpanNames) {
-    const auto per_stage = stage_spans(name);
+  constexpr std::size_t kNumSpanNames = std::size(kSpanNames);
+  std::array<std::array<Accumulator, kNumStages>, kNumSpanNames> per_name;
+  const std::size_t n = size();
+  const SpanPairing pairing(events_.data(), n);
+  for (const PairedSpan& s : pairing.spans()) {
+    const auto stage_idx = static_cast<std::size_t>(s.event->stage);
+    if (!s.timed() || stage_idx >= kNumStages) continue;
+    for (std::size_t k = 0; k < kNumSpanNames; ++k) {
+      if (std::strcmp(s.event->name, kSpanNames[k]) != 0) continue;
+      per_name[k][stage_idx].add(to_millis(s.end() - s.start()));
+      break;
+    }
+  }
+  for (std::size_t k = 0; k < kNumSpanNames; ++k) {
+    const char* name = kSpanNames[k];
+    const auto& per_stage = per_name[k];
     for (std::size_t s = 0; s < kNumStages; ++s) {
       if (per_stage[s].count() == 0) continue;
       const char* stage = to_string(static_cast<Stage>(s));
@@ -326,7 +333,6 @@ std::string Tracer::prometheus_text() const {
 
   // Instant-event tallies (drops, losses, timeouts) by stage.
   std::map<std::pair<std::string, std::uint8_t>, std::uint64_t> instants;
-  const std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) {
     const TraceEvent& e = events_[i];
     if (e.phase != TracePhase::kInstant) continue;

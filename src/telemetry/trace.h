@@ -27,8 +27,11 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +95,15 @@ inline constexpr const char* kCtrlPredict = "ctrl_predict";  // burn+trend fired
 // Synthetic instant appended when a flight-recorder buffer is promoted
 // into the durable ring; `value` holds the RetainReason.
 inline constexpr const char* kRetained = "retained";
+
+// Instants after which a frame never reaches its client: the frame's
+// verdict for forensics and blame, and the flight recorder's cue to
+// take the retention decision on the spot.
+[[nodiscard]] inline bool is_terminal_drop(std::string_view name) {
+  return name == kDropBusy || name == kDropStale || name == kDropOverflow ||
+         name == kDropDown || name == kPacketLoss || name == kTailDrop ||
+         name == kFetchTimeout || name == kUnrecoverable;
+}
 }  // namespace spans
 
 // Head-sampling default shared by core::ClientConfig::trace_sample_every,
@@ -123,6 +135,54 @@ struct TraceEvent {
   Stage stage = Stage::kPrimary;
   TracePhase phase = TracePhase::kInstant;
   std::uint16_t lane = 0;  // thread-pool lane of the recording thread
+
+  [[nodiscard]] SimTime end_ts() const { return phase == TracePhase::kComplete ? ts + dur : ts; }
+};
+
+// One event out of the span-pairing walk: a closed span (its kBegin
+// plus the kEnd that closed it), an end with no open begin, or a
+// kComplete/kInstant passed through unchanged.
+struct PairedSpan {
+  const TraceEvent* begin = nullptr;  // the kBegin of a closed span, else nullptr
+  const TraceEvent* event = nullptr;  // the kEnd, kComplete or kInstant
+
+  [[nodiscard]] bool orphan_end() const {
+    return begin == nullptr && event->phase == TracePhase::kEnd;
+  }
+  // A closed or kComplete span: it has a duration.
+  [[nodiscard]] bool timed() const {
+    return begin != nullptr || event->phase == TracePhase::kComplete;
+  }
+  [[nodiscard]] SimTime start() const { return begin != nullptr ? begin->ts : event->ts; }
+  [[nodiscard]] SimTime end() const { return event->end_ts(); }
+};
+
+// The one begin/end pairing walk every trace consumer reads (exporters,
+// per-stage span stats, frame forensics, critical-path blame). Events
+// are paired in the order they are added, LIFO per {track, name,
+// client, frame, stage}, names compared by content (two translation
+// units may hold distinct copies of the same literal). Counters are
+// skipped. Added events must outlive the pairing.
+class SpanPairing {
+ public:
+  SpanPairing() = default;
+  SpanPairing(const TraceEvent* events, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) add(events[i]);
+  }
+
+  void add(const TraceEvent& e);
+
+  // Closed spans, orphan ends and passed-through events, in the input
+  // order of the event that produced each.
+  [[nodiscard]] const std::vector<PairedSpan>& spans() const { return spans_; }
+  // Begins never closed, in key order, then begin order per key.
+  [[nodiscard]] std::vector<const TraceEvent*> unclosed() const;
+
+ private:
+  using Key = std::tuple<std::uint32_t, std::string_view, std::uint32_t, std::uint64_t,
+                         std::uint8_t>;
+  std::map<Key, std::vector<const TraceEvent*>> open_;
+  std::vector<PairedSpan> spans_;
 };
 
 // Matched begin/end spans of one name on one track, in milliseconds.

@@ -83,21 +83,26 @@ TEST_F(FlightRecorderTest, RecycleDiscardsTheBuffer) {
 }
 
 TEST_F(FlightRecorderTest, TerminalDropInstantFlushesImmediately) {
-  recorder().open(7);
-  EXPECT_TRUE(recorder().try_record(make_event(7, spans::kLink, TracePhase::kBegin)));
-  EXPECT_TRUE(recorder().try_record(make_event(7, spans::kDropStale, TracePhase::kInstant, 3000)));
+  for (const char* drop : {spans::kDropStale, spans::kUnrecoverable}) {
+    SCOPED_TRACE(drop);
+    Tracer::instance().clear();
+    recorder().reset();
+    recorder().open(7);
+    EXPECT_TRUE(recorder().try_record(make_event(7, spans::kLink, TracePhase::kBegin)));
+    EXPECT_TRUE(recorder().try_record(make_event(7, drop, TracePhase::kInstant, 3000)));
 
-  // Buffered span + the drop instant + the synthetic retained instant.
-  EXPECT_EQ(ring_count(7), 3u);
-  EXPECT_EQ(recorder().stats().drop_flushed, 1u);
-  const auto events = ring_events();
-  const auto retained = std::find_if(events.begin(), events.end(), [](const TraceEvent& e) {
-    return std::string(e.name) == spans::kRetained;
-  });
-  ASSERT_NE(retained, events.end());
-  EXPECT_EQ(retained->value, static_cast<double>(RetainReason::kDrop));
-  // The frame never closes; its promote must miss.
-  EXPECT_FALSE(recorder().promote(7, ClientId{3}, FrameId{17}, 1, RetainReason::kSlo));
+    // Buffered span + the drop instant + the synthetic retained instant.
+    EXPECT_EQ(ring_count(7), 3u);
+    EXPECT_EQ(recorder().stats().drop_flushed, 1u);
+    const auto events = ring_events();
+    const auto retained = std::find_if(events.begin(), events.end(), [](const TraceEvent& e) {
+      return std::string(e.name) == spans::kRetained;
+    });
+    ASSERT_NE(retained, events.end());
+    EXPECT_EQ(retained->value, static_cast<double>(RetainReason::kDrop));
+    // The frame never closes; its promote must miss.
+    EXPECT_FALSE(recorder().promote(7, ClientId{3}, FrameId{17}, 1, RetainReason::kSlo));
+  }
 }
 
 TEST_F(FlightRecorderTest, CollidingOpenEvictsTheStaleOccupant) {

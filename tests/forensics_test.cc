@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "expt/experiment.h"
 #include "telemetry/flight_recorder.h"
@@ -75,29 +76,34 @@ TEST_F(ForensicsTest, ReconstructsADeliveredFrame) {
 }
 
 TEST_F(ForensicsTest, DropInstantBecomesTheVerdict) {
-  auto& t = Tracer::instance();
-  const ClientId c{0};
-  const FrameId f{7};
-  t.begin(kClientTrack, kFrameE2e, 100, c, f, Stage::kPrimary, 0.0, 7);
-  t.begin(0, kSidecarQueue, 200, c, f, Stage::kPrimary, 0.0, 7);
-  t.instant(0, kDropStale, 900, c, f, Stage::kPrimary, 0.0, 7);
-  t.instant(kClientTrack, kRetained, 900, c, f, Stage::kPrimary,
-            static_cast<double>(telemetry::RetainReason::kDrop), 7);
+  for (const char* drop : {kDropStale, telemetry::spans::kUnrecoverable}) {
+    SCOPED_TRACE(drop);
+    auto& t = Tracer::instance();
+    t.clear();
+    const ClientId c{0};
+    const FrameId f{7};
+    t.begin(kClientTrack, kFrameE2e, 100, c, f, Stage::kPrimary, 0.0, 7);
+    t.begin(0, kSidecarQueue, 200, c, f, Stage::kPrimary, 0.0, 7);
+    t.instant(0, drop, 900, c, f, Stage::kPrimary, 0.0, 7);
+    t.instant(kClientTrack, kRetained, 900, c, f, Stage::kPrimary,
+              static_cast<double>(telemetry::RetainReason::kDrop), 7);
 
-  const TraceLog log = from_tracer(Tracer::instance());
-  const auto tl = reconstruct_frame(log, 7);
-  ASSERT_TRUE(tl.has_value());
-  EXPECT_EQ(tl->verdict, kDropStale);
-  EXPECT_TRUE(tl->complete());
-  EXPECT_EQ(tl->retain_reason, telemetry::RetainReason::kDrop);
-  // The retained marker is metadata, not a hop; the unmatched queue
-  // begin surfaces as an open hop.
-  for (const auto& h : tl->hops) EXPECT_NE(h.name, kRetained);
-  const auto queue = std::find_if(tl->hops.begin(), tl->hops.end(), [](const TimelineHop& h) {
-    return h.name == kSidecarQueue;
-  });
-  ASSERT_NE(queue, tl->hops.end());
-  EXPECT_TRUE(queue->open);
+    const TraceLog log = from_tracer(Tracer::instance());
+    const auto tl = reconstruct_frame(log, 7);
+    ASSERT_TRUE(tl.has_value());
+    EXPECT_EQ(tl->verdict, drop);
+    EXPECT_TRUE(tl->complete());
+    EXPECT_EQ(tl->retain_reason, telemetry::RetainReason::kDrop);
+    EXPECT_EQ(dropped_trace_ids(log), std::vector<std::uint32_t>{7});
+    // The retained marker is metadata, not a hop; the unmatched queue
+    // begin surfaces as an open hop.
+    for (const auto& h : tl->hops) EXPECT_NE(h.name, kRetained);
+    const auto queue = std::find_if(tl->hops.begin(), tl->hops.end(), [](const TimelineHop& h) {
+      return h.name == kSidecarQueue;
+    });
+    ASSERT_NE(queue, tl->hops.end());
+    EXPECT_TRUE(queue->open);
+  }
 }
 
 TEST_F(ForensicsTest, UnknownTraceIdIsNullopt) {
@@ -161,7 +167,7 @@ TEST_F(ForensicsTest, WorstAndDroppedRankings) {
   const auto dropped = dropped_trace_ids(log);
   ASSERT_EQ(dropped.size(), 1u);
   EXPECT_EQ(dropped[0], 13u);
-  EXPECT_EQ(all_trace_ids(log).size(), 4u);
+  EXPECT_EQ(group_by_trace(log).size(), 4u);
 }
 
 // Retention end to end: a small scAtteR++ experiment with the tail
@@ -190,13 +196,12 @@ TEST_F(ForensicsTest, ExperimentRetentionIntegration) {
                 ret.retained_baseline + ret.recycled);
 
   const TraceLog log = from_tracer(Tracer::instance());
-  const auto ids = all_trace_ids(log);
-  EXPECT_EQ(ids.size(), ret.retained_total());
-  for (std::uint32_t id : ids) {
-    const auto tl = reconstruct_frame(log, id);
-    ASSERT_TRUE(tl.has_value()) << "trace " << id;
-    EXPECT_TRUE(tl->complete()) << "trace " << id << " verdict " << tl->verdict;
-    EXPECT_NE(tl->retain_reason, telemetry::RetainReason::kNone) << "trace " << id;
+  const auto frames = group_by_trace(log);
+  EXPECT_EQ(frames.size(), ret.retained_total());
+  for (const FrameEvents& frame : frames) {
+    const FrameTimeline tl = reconstruct_frame(log, frame);
+    EXPECT_TRUE(tl.complete()) << "trace " << frame.trace_id << " verdict " << tl.verdict;
+    EXPECT_NE(tl.retain_reason, telemetry::RetainReason::kNone) << "trace " << frame.trace_id;
   }
 
   // Control: retention unset + head sampling off leaves the ring empty.

@@ -1,9 +1,11 @@
 // Tests for the per-frame distributed tracer: recording semantics,
-// span pairing under the thread pool, exporter well-formedness, and the
-// end-to-end frame flow of a traced simulated experiment.
+// span pairing under the thread pool, the shared span-pairing walk,
+// exporter well-formedness, the end-to-end frame flow of a traced
+// simulated experiment, and agreement between the trace consumers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstring>
 #include <map>
@@ -14,6 +16,8 @@
 
 #include "common/parallel.h"
 #include "expt/experiment.h"
+#include "expt/forensics.h"
+#include "telemetry/critical_path.h"
 #include "telemetry/trace.h"
 
 namespace mar::telemetry {
@@ -140,6 +144,115 @@ TEST_F(TraceTest, NextTraceIdIsNonzeroAndUnique) {
     ids.insert(id);
   }
   EXPECT_EQ(ids.size(), 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// The span-pairing walk
+
+TraceEvent walk_event(TracePhase phase, const char* name, SimTime ts, std::uint64_t frame = 0,
+                      std::uint32_t track = 1) {
+  TraceEvent e;
+  e.phase = phase;
+  e.name = name;
+  e.ts = ts;
+  e.frame = frame;
+  e.client = 0;
+  e.track = track;
+  return e;
+}
+
+std::size_t orphan_ends(const SpanPairing& p) {
+  return static_cast<std::size_t>(std::count_if(
+      p.spans().begin(), p.spans().end(), [](const PairedSpan& s) { return s.orphan_end(); }));
+}
+
+TEST(SpanPairing, SameKeyNestedSpansPairLifo) {
+  const std::vector<TraceEvent> events = {
+      walk_event(TracePhase::kBegin, spans::kService, 10),
+      walk_event(TracePhase::kBegin, spans::kService, 20),
+      walk_event(TracePhase::kEnd, spans::kService, 30),
+      walk_event(TracePhase::kEnd, spans::kService, 50),
+  };
+  const SpanPairing p(events.data(), events.size());
+  ASSERT_EQ(p.spans().size(), 2u);
+  // The inner begin closes first.
+  EXPECT_EQ(p.spans()[0].begin, &events[1]);
+  EXPECT_EQ(p.spans()[0].event, &events[2]);
+  EXPECT_EQ(p.spans()[1].begin, &events[0]);
+  EXPECT_EQ(p.spans()[1].end() - p.spans()[1].start(), 40);
+  EXPECT_TRUE(p.unclosed().empty());
+  EXPECT_EQ(orphan_ends(p), 0u);
+}
+
+TEST(SpanPairing, InterleavedFramesOnOneTrackStayApart) {
+  // Two frames queue on the same sidecar and overlap; each end closes
+  // its own frame's begin, not the most recent one.
+  const std::vector<TraceEvent> events = {
+      walk_event(TracePhase::kBegin, spans::kSidecarQueue, 0, /*frame=*/1),
+      walk_event(TracePhase::kBegin, spans::kSidecarQueue, 5, /*frame=*/2),
+      walk_event(TracePhase::kEnd, spans::kSidecarQueue, 12, /*frame=*/1),
+      walk_event(TracePhase::kEnd, spans::kSidecarQueue, 30, /*frame=*/2),
+  };
+  const SpanPairing p(events.data(), events.size());
+  ASSERT_EQ(p.spans().size(), 2u);
+  EXPECT_EQ(p.spans()[0].begin, &events[0]);
+  EXPECT_EQ(p.spans()[0].end() - p.spans()[0].start(), 12);
+  EXPECT_EQ(p.spans()[1].begin, &events[1]);
+  EXPECT_EQ(p.spans()[1].end() - p.spans()[1].start(), 25);
+}
+
+TEST(SpanPairing, OrphanEndIsReportedAndMakesNoSpan) {
+  const std::vector<TraceEvent> events = {
+      walk_event(TracePhase::kBegin, spans::kService, 0, /*frame=*/0, /*track=*/1),
+      walk_event(TracePhase::kEnd, spans::kService, 40, /*frame=*/0, /*track=*/2),
+  };
+  const SpanPairing p(events.data(), events.size());
+  EXPECT_EQ(orphan_ends(p), 1u);
+  ASSERT_EQ(p.spans().size(), 1u);
+  EXPECT_TRUE(p.spans()[0].orphan_end());
+  EXPECT_FALSE(p.spans()[0].timed());
+  EXPECT_EQ(p.spans()[0].event, &events[1]);
+  ASSERT_EQ(p.unclosed().size(), 1u);  // the begin on the other track
+}
+
+TEST(SpanPairing, UnclosedBeginIsReportedWithItsTimestamp) {
+  const std::vector<TraceEvent> events = {
+      walk_event(TracePhase::kBegin, spans::kStateFetch, 70),
+      walk_event(TracePhase::kBegin, spans::kService, 10),
+      walk_event(TracePhase::kEnd, spans::kService, 20),
+  };
+  const SpanPairing p(events.data(), events.size());
+  const auto open = p.unclosed();
+  ASSERT_EQ(open.size(), 1u);
+  EXPECT_EQ(open[0], &events[0]);
+  EXPECT_EQ(open[0]->ts, 70);
+  EXPECT_EQ(orphan_ends(p), 0u);
+}
+
+TEST(SpanPairing, CompletePassesThroughWithItsDuration) {
+  TraceEvent link = walk_event(TracePhase::kComplete, spans::kLink, 100);
+  link.dur = 35;
+  const std::vector<TraceEvent> events = {
+      link, walk_event(TracePhase::kInstant, spans::kDropBusy, 140)};
+  const SpanPairing p(events.data(), events.size());
+  ASSERT_EQ(p.spans().size(), 2u);
+  EXPECT_EQ(p.spans()[0].begin, nullptr);
+  EXPECT_TRUE(p.spans()[0].timed());
+  EXPECT_EQ(p.spans()[0].start(), 100);
+  EXPECT_EQ(p.spans()[0].end(), 135);
+  EXPECT_FALSE(p.spans()[1].timed());  // the instant, in input order
+  EXPECT_EQ(p.spans()[1].event, &events[1]);
+}
+
+TEST(SpanPairing, CountersAreSkipped) {
+  const std::vector<TraceEvent> events = {
+      walk_event(TracePhase::kCounter, "queue_len", 5),
+      walk_event(TracePhase::kCounter, "queue_len", 9),
+  };
+  const SpanPairing p(events.data(), events.size());
+  EXPECT_TRUE(p.spans().empty());
+  EXPECT_TRUE(p.unclosed().empty());
+  EXPECT_EQ(orphan_ends(p), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -328,6 +441,76 @@ TEST_F(TraceTest, SamplingTracesEveryNthFrame) {
   }
   ASSERT_FALSE(traced_frames.empty());
   for (std::uint64_t f : traced_frames) EXPECT_EQ(f % 4, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Every consumer reads the same pairing
+
+TEST_F(TraceTest, TraceConsumersAgreeOnEveryFrame) {
+  auto& t = Tracer::instance();
+  t.reserve(1u << 18);
+
+  expt::ExperimentConfig cfg;
+  cfg.mode = core::PipelineMode::kScatter;  // state fetch on every frame
+  cfg.num_clients = 2;
+  cfg.warmup = seconds(1.0);
+  cfg.duration = seconds(3.0);
+  cfg.seed = 45;
+  (void)expt::run_experiment(cfg);
+
+  const expt::TraceLog log = expt::from_tracer(t);
+  const std::vector<expt::FrameEvents> frames = expt::group_by_trace(log);
+  ASSERT_GT(frames.size(), 50u);
+
+  using Hop = std::tuple<std::string, SimTime, SimTime>;
+  std::array<double, kNumStages> service_ms{};
+  int open_spans = 0;
+  for (const expt::FrameEvents& frame : frames) {
+    SCOPED_TRACE(frame.trace_id);
+    SpanPairing walk;
+    for (const TraceEvent* e : frame.events) walk.add(*e);
+
+    // Forensics: closed non-instant hops are exactly the walk's spans.
+    const expt::FrameTimeline tl = expt::reconstruct_frame(log, frame);
+    std::vector<Hop> hops;
+    for (const expt::TimelineHop& h : tl.hops) {
+      if (h.phase == TracePhase::kInstant || h.open) continue;
+      hops.emplace_back(h.name, h.start, h.end);
+      if (h.name == spans::kService) service_ms[static_cast<std::size_t>(h.stage)] += h.dur_ms();
+    }
+    std::vector<Hop> paired;
+    for (const PairedSpan& s : walk.spans()) {
+      if (s.event->phase != TracePhase::kInstant) {
+        paired.emplace_back(s.event->name, s.start(), s.end());
+      }
+    }
+    std::sort(hops.begin(), hops.end());
+    std::sort(paired.begin(), paired.end());
+    EXPECT_EQ(hops, paired);
+
+    // Critical path: its malformed-span counts are the walk's, less the
+    // frame_e2e envelope (a dropped frame's e2e span never closes, and
+    // the extractor treats that span as the envelope, not a path hop).
+    const auto not_e2e = [](const TraceEvent* e) {
+      return std::strcmp(e->name, spans::kFrameE2e) != 0;
+    };
+    const auto unclosed = walk.unclosed();
+    int orphans = 0;
+    for (const PairedSpan& s : walk.spans()) orphans += s.orphan_end() && not_e2e(s.event);
+    const CriticalPath cp = extract_critical_path(frame.events);
+    EXPECT_EQ(cp.open_spans, std::count_if(unclosed.begin(), unclosed.end(), not_e2e));
+    EXPECT_EQ(cp.orphan_ends, orphans);
+    open_spans += cp.open_spans;
+  }
+  EXPECT_GT(open_spans, 0);  // frames in flight at the end of the run
+
+  // Per-stage span stats: the per-frame service spans add up to the
+  // ring-wide stage totals.
+  const auto stage = t.stage_spans(spans::kService);
+  for (std::size_t s = 0; s < kNumStages; ++s) {
+    EXPECT_NEAR(service_ms[s], stage[s].sum(), 1e-9) << to_string(static_cast<Stage>(s));
+  }
+  EXPECT_GT(stage[static_cast<std::size_t>(Stage::kMatching)].count(), 0u);
 }
 
 }  // namespace
