@@ -23,6 +23,18 @@ struct Corner {
 // or all darker (sign=-1) than center +/- threshold.
 bool has_arc(const Image& img, int x, int y, float threshold, int arc) {
   const float c = img.at(x, y);
+  // Exact pre-test on the compass pixels (ring indices 0, 4, 8, 12):
+  // any `arc` contiguous ring pixels include at least arc/4 of them
+  // (an arc longer than the ring needs all 16 pixels, so all four), so
+  // with fewer bright and fewer dark compass pixels no arc exists.
+  const int need = std::min(arc, kRing) / 4;
+  int compass_bright = 0, compass_dark = 0;
+  for (int k = 0; k < kRing; k += 4) {
+    const float v = img.at(x + kRingDx[k], y + kRingDy[k]);
+    compass_bright += v > c + threshold ? 1 : 0;
+    compass_dark += v < c - threshold ? 1 : 0;
+  }
+  if (compass_bright < need && compass_dark < need) return false;
   // Unrolled circular scan over 2*kRing to handle wrap-around.
   int run_bright = 0, run_dark = 0;
   int best_bright = 0, best_dark = 0;

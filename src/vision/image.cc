@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/parallel.h"
+#include "common/simd.h"
 
 namespace mar::vision {
 namespace {
@@ -13,6 +14,44 @@ namespace {
 // only affects scheduling: each output pixel is computed exactly as in
 // the serial code, so results are bit-identical at any pool size.
 constexpr std::int64_t kRowGrain = 16;
+
+// out[x] = sum over taps i of kernel[i] * taps[i][x], for x in [0, w).
+// Each output starts at 0 and adds its taps in order i = 0, 1, ..., the
+// scalar convolution's exact sequence, so results are bit-identical to
+// it; the lanes only run independent outputs side by side. Sixteen
+// pixels (four 4-lane accumulators) are in flight at once, so the add
+// latency of a single chain no longer bounds throughput.
+void convolve_taps(const float* kernel, const float* const* taps, int ntaps, int w,
+                   float* out) {
+  using simd::F32x4;
+  using simd::load;
+  int x = 0;
+  for (; x + 4 * simd::kLanes <= w; x += 4 * simd::kLanes) {
+    F32x4 a0 = simd::splat(0.0f), a1 = a0, a2 = a0, a3 = a0;
+    for (int i = 0; i < ntaps; ++i) {
+      const F32x4 k = simd::splat(kernel[i]);
+      const float* p = taps[i] + x;
+      a0 += k * load(p);
+      a1 += k * load(p + 4);
+      a2 += k * load(p + 8);
+      a3 += k * load(p + 12);
+    }
+    simd::store(out + x, a0);
+    simd::store(out + x + 4, a1);
+    simd::store(out + x + 8, a2);
+    simd::store(out + x + 12, a3);
+  }
+  for (; x + simd::kLanes <= w; x += simd::kLanes) {
+    F32x4 a = simd::splat(0.0f);
+    for (int i = 0; i < ntaps; ++i) a += simd::splat(kernel[i]) * load(taps[i] + x);
+    simd::store(out + x, a);
+  }
+  for (; x < w; ++x) {
+    float acc = 0.0f;
+    for (int i = 0; i < ntaps; ++i) acc += kernel[i] * taps[i][x];
+    out[x] = acc;
+  }
+}
 
 }  // namespace
 
@@ -39,7 +78,8 @@ float Image::sample(float x, float y) const {
 Image gaussian_blur(const Image& src, float sigma) {
   if (sigma <= 0.0f || src.empty()) return src;
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
-  std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
+  const int ntaps = 2 * radius + 1;
+  std::vector<float> kernel(static_cast<std::size_t>(ntaps));
   float sum = 0.0f;
   for (int i = -radius; i <= radius; ++i) {
     const float v = std::exp(-static_cast<float>(i * i) / (2.0f * sigma * sigma));
@@ -47,37 +87,27 @@ Image gaussian_blur(const Image& src, float sigma) {
     sum += v;
   }
   for (float& k : kernel) k /= sum;
-  const float* kern = kernel.data() + radius;  // kern[i] for i in [-radius, radius]
 
   const int w = src.width(), h = src.height();
-  // Columns [xl, xr) never index outside the row, so the inner loop can
-  // use raw loads; only the border columns pay for clamping.
-  const int xl = std::min(radius, w);
-  const int xr = std::max(xl, w - radius);
-
   Image tmp(w, h);
   // Horizontal pass, row-parallel. The per-chunk ProfScope annotates
   // whichever pool worker (or the caller) runs the chunk.
   parallel_for(0, h, kRowGrain, [&](std::int64_t y0, std::int64_t y1) {
     telemetry::ProfScope prof("img_blur");
+    // The row padded with `radius` replicated border pixels on each
+    // side: padded[radius + x] == src.at_clamped(x, y) for every x in
+    // [-radius, w + radius), so the border columns run the same tap
+    // loop as the interior.
+    std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
+    std::vector<const float*> taps(static_cast<std::size_t>(ntaps));
+    for (int i = 0; i < ntaps; ++i) taps[static_cast<std::size_t>(i)] = padded.data() + i;
     for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y) {
       const float* srow = src.data().data() + static_cast<std::size_t>(y) * w;
-      float* trow = tmp.data().data() + static_cast<std::size_t>(y) * w;
-      for (int x = 0; x < xl; ++x) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) acc += kern[i] * src.at_clamped(x + i, y);
-        trow[x] = acc;
-      }
-      for (int x = xl; x < xr; ++x) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) acc += kern[i] * srow[x + i];
-        trow[x] = acc;
-      }
-      for (int x = xr; x < w; ++x) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) acc += kern[i] * src.at_clamped(x + i, y);
-        trow[x] = acc;
-      }
+      std::fill_n(padded.begin(), radius, srow[0]);
+      std::copy(srow, srow + w, padded.begin() + radius);
+      std::fill_n(padded.begin() + radius + w, radius, srow[w - 1]);
+      convolve_taps(kernel.data(), taps.data(), ntaps, w,
+                    tmp.data().data() + static_cast<std::size_t>(y) * w);
     }
   });
 
@@ -86,21 +116,15 @@ Image gaussian_blur(const Image& src, float sigma) {
   Image out(w, h);
   parallel_for(0, h, kRowGrain, [&](std::int64_t y0, std::int64_t y1) {
     telemetry::ProfScope prof("img_blur");
-    std::vector<const float*> rows(static_cast<std::size_t>(2 * radius + 1));
+    std::vector<const float*> rows(static_cast<std::size_t>(ntaps));
     for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y) {
       for (int i = -radius; i <= radius; ++i) {
         const int py = std::clamp(y + i, 0, h - 1);
         rows[static_cast<std::size_t>(i + radius)] =
             tmp.data().data() + static_cast<std::size_t>(py) * w;
       }
-      float* orow = out.data().data() + static_cast<std::size_t>(y) * w;
-      for (int x = 0; x < w; ++x) {
-        float acc = 0.0f;
-        for (int i = 0; i <= 2 * radius; ++i) {
-          acc += kernel[static_cast<std::size_t>(i)] * rows[static_cast<std::size_t>(i)][x];
-        }
-        orow[x] = acc;
-      }
+      convolve_taps(kernel.data(), rows.data(), ntaps, w,
+                    out.data().data() + static_cast<std::size_t>(y) * w);
     }
   });
   return out;

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace mar::vision {
@@ -25,23 +24,12 @@ struct Feature {
   Descriptor descriptor{};
 };
 
-// Squared Euclidean distance with a running-best early exit: once the
-// partial sum reaches `limit` the pair can no longer beat the caller's
-// current best/second-best, so the scan stops. The returned partial is
-// >= limit in that case, which makes every `< limit` comparison come
-// out exactly as if the full sum had been computed — accumulation
-// order is unchanged, so completed sums are bit-identical to the
-// serial full-sum code.
-[[nodiscard]] inline float descriptor_distance_sq(
-    const Descriptor& a, const Descriptor& b,
-    float limit = std::numeric_limits<float>::max()) {
+// Squared Euclidean distance, summed in dimension order.
+[[nodiscard]] inline float descriptor_distance_sq(const Descriptor& a, const Descriptor& b) {
   float d2 = 0.0f;
-  for (int i = 0; i < kDescriptorDim; i += 16) {
-    for (int j = i; j < i + 16; ++j) {
-      const float d = a[j] - b[j];
-      d2 += d * d;
-    }
-    if (d2 >= limit) return d2;
+  for (int j = 0; j < kDescriptorDim; ++j) {
+    const float d = a[static_cast<std::size_t>(j)] - b[static_cast<std::size_t>(j)];
+    d2 += d * d;
   }
   return d2;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "vision/fast_detector.h"
 #include "vision/matcher.h"
@@ -129,14 +130,23 @@ TEST(FastDetector, DescriptorsMatchAcrossTranslation) {
 }
 
 TEST(FastDetector, FasterThanSift) {
+  // Each detector's time is its fastest of several repetitions, taken
+  // alternately, so a burst of load from another process slows one
+  // repetition of each rather than deciding the comparison.
   const Image img = scene_frame();
-  const auto time_it = [&img](auto&& detector) {
+  const auto time_it = [&img](const auto& detector) {
     const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < 3; ++i) (void)detector.detect(img);
+    (void)detector.detect(img);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   };
-  const double fast_s = time_it(FastDetector());
-  const double sift_s = time_it(SiftDetector());
+  const FastDetector fast;
+  const SiftDetector sift;
+  double fast_s = std::numeric_limits<double>::max();
+  double sift_s = std::numeric_limits<double>::max();
+  for (int rep = 0; rep < 5; ++rep) {
+    fast_s = std::min(fast_s, time_it(fast));
+    sift_s = std::min(sift_s, time_it(sift));
+  }
   EXPECT_LT(fast_s, sift_s / 2.0);  // the whole point of the substitution
 }
 

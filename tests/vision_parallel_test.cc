@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -209,45 +211,52 @@ TEST_F(DeterminismTest, BlurAndResizeBitIdenticalAcrossPoolSizes) {
 }
 
 TEST_F(DeterminismTest, BlurMatchesClampedReference) {
-  // The interior fast path must reproduce the straightforward
-  // clamp-everywhere convolution bit for bit, including when the
-  // kernel radius exceeds the image (all-border case).
-  for (const auto& [w, h, sigma] : {std::tuple{40, 30, 2.0f}, std::tuple{5, 4, 2.0f}}) {
-    Image img(w, h);
-    Rng rng(11);
-    for (float& v : img.data()) v = static_cast<float>(rng.uniform(0.0, 1.0));
+  // The padded-row, 4-lane kernel must reproduce the straightforward
+  // clamp-everywhere convolution bit for bit: widths below, at and past
+  // the 4- and 16-pixel lane steps (scalar tails), and radii larger
+  // than the image (every tap replicated border).
+  const std::tuple<int, int> sizes[] = {{1, 1},   {3, 2},   {4, 4},   {5, 4},   {15, 9},
+                                        {16, 16}, {17, 5},  {33, 21}, {40, 30}, {320, 180}};
+  for (const auto& [w, h] : sizes) {
+    for (const float sigma : {0.5f, 1.23f, 2.0f, 3.1f}) {
+      SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " sigma " +
+                   std::to_string(sigma));
+      Image img(w, h);
+      Rng rng(11);
+      for (float& v : img.data()) v = static_cast<float>(rng.uniform(0.0, 1.0));
 
-    const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
-    std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
-    float sum = 0.0f;
-    for (int i = -radius; i <= radius; ++i) {
-      const float v = std::exp(-static_cast<float>(i * i) / (2.0f * sigma * sigma));
-      kernel[static_cast<std::size_t>(i + radius)] = v;
-      sum += v;
-    }
-    for (float& kv : kernel) kv /= sum;
-    Image tmp(w, h), ref(w, h);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) {
-          acc += kernel[static_cast<std::size_t>(i + radius)] * img.at_clamped(x + i, y);
-        }
-        tmp.at(x, y) = acc;
+      const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
+      std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
+      float sum = 0.0f;
+      for (int i = -radius; i <= radius; ++i) {
+        const float v = std::exp(-static_cast<float>(i * i) / (2.0f * sigma * sigma));
+        kernel[static_cast<std::size_t>(i + radius)] = v;
+        sum += v;
       }
-    }
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) {
-          acc += kernel[static_cast<std::size_t>(i + radius)] * tmp.at_clamped(x, y + i);
+      for (float& kv : kernel) kv /= sum;
+      Image tmp(w, h), ref(w, h);
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          float acc = 0.0f;
+          for (int i = -radius; i <= radius; ++i) {
+            acc += kernel[static_cast<std::size_t>(i + radius)] * img.at_clamped(x + i, y);
+          }
+          tmp.at(x, y) = acc;
         }
-        ref.at(x, y) = acc;
       }
-    }
-    for (int n : pool_sizes()) {
-      set_parallel_threads(n);
-      expect_images_identical(ref, gaussian_blur(img, sigma));
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          float acc = 0.0f;
+          for (int i = -radius; i <= radius; ++i) {
+            acc += kernel[static_cast<std::size_t>(i + radius)] * tmp.at_clamped(x, y + i);
+          }
+          ref.at(x, y) = acc;
+        }
+      }
+      for (int n : pool_sizes()) {
+        set_parallel_threads(n);
+        expect_images_identical(ref, gaussian_blur(img, sigma));
+      }
     }
   }
 }
@@ -309,6 +318,109 @@ TEST_F(DeterminismTest, MatchSetBitIdenticalAndEqualToNaiveReference) {
       EXPECT_EQ(matches[i].query_index, ref[i].query_index);
       EXPECT_EQ(matches[i].train_index, ref[i].train_index);
       EXPECT_NEAR(matches[i].distance, ref[i].distance, 1e-6f);
+    }
+  }
+}
+
+// Scalar reference matcher: for each query the full squared distance to
+// every train descriptor, summed in dimension order, a best/second scan
+// in train order (the first index wins ties), and the ratio and
+// distance tests in squared space.
+std::vector<Match> reference_matches(const FeatureList& query, const FeatureList& train,
+                                     const MatcherParams& mp) {
+  std::vector<Match> ref;
+  if (train.size() < 2) return ref;
+  const float max_d2 = mp.max_distance * mp.max_distance;
+  const float ratio2 = mp.ratio * mp.ratio;
+  for (std::size_t qi = 0; qi < query.size(); ++qi) {
+    float best = std::numeric_limits<float>::max(), second = best;
+    int best_ti = -1;
+    for (std::size_t ti = 0; ti < train.size(); ++ti) {
+      float d2 = 0.0f;
+      for (int j = 0; j < kDescriptorDim; ++j) {
+        const float d = query[qi].descriptor[static_cast<std::size_t>(j)] -
+                        train[ti].descriptor[static_cast<std::size_t>(j)];
+        d2 += d * d;
+      }
+      if (d2 < best) {
+        second = best;
+        best = d2;
+        best_ti = static_cast<int>(ti);
+      } else if (d2 < second) {
+        second = d2;
+      }
+    }
+    if (best_ti >= 0 && best <= max_d2 && best < ratio2 * second) {
+      ref.push_back(Match{static_cast<int>(qi), best_ti, std::sqrt(best)});
+    }
+  }
+  return ref;
+}
+
+Descriptor random_descriptor(Rng& rng) {
+  Descriptor d{};
+  for (float& v : d) v = static_cast<float>(rng.uniform(0.0, 0.2));
+  return d;
+}
+
+TEST_F(DeterminismTest, MatcherBitIdenticalToScalarReference) {
+  // Train sizes below, at and past the 8-descriptor tile (padding
+  // lanes), query lists of a different size, and duplicated train
+  // descriptors where the first index must win the tie.
+  for (const std::size_t n_train : {2u, 3u, 7u, 8u, 9u, 183u}) {
+    SCOPED_TRACE("train " + std::to_string(n_train));
+    Rng rng(29 + n_train);
+    FeatureList train(n_train);
+    for (Feature& f : train) f.descriptor = random_descriptor(rng);
+    // Every third descriptor (from index 3 on) repeats an earlier one.
+    for (std::size_t t = 3; t < n_train; t += 3) train[t].descriptor = train[t / 3].descriptor;
+    FeatureList query(n_train + 5);
+    for (std::size_t q = 0; q < query.size(); ++q) {
+      if (q % 4 == 3) {
+        query[q].descriptor = random_descriptor(rng);  // likely unmatched
+        continue;
+      }
+      // A noisy copy of a train descriptor; every fourth an exact one.
+      query[q].descriptor = train[(q * 5) % n_train].descriptor;
+      if (q % 4 != 0) {
+        for (float& v : query[q].descriptor) v += static_cast<float>(rng.uniform(-0.01, 0.01));
+      }
+    }
+    MatcherParams strict;  // the defaults
+    MatcherParams loose;
+    loose.ratio = 1.5f;  // accepts ties, so a duplicate's first index shows
+    loose.max_distance = 10.0f;
+    for (const MatcherParams& mp : {strict, loose}) {
+      const std::vector<Match> ref = reference_matches(query, train, mp);
+      for (int n : pool_sizes()) {
+        set_parallel_threads(n);
+        const std::vector<Match> got = match_features(query, train, mp);
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].query_index, ref[i].query_index) << i;
+          EXPECT_EQ(got[i].train_index, ref[i].train_index) << i;
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i].distance),
+                    std::bit_cast<std::uint32_t>(ref[i].distance))
+              << i;
+        }
+      }
+    }
+    // With ties accepted, a noisy copy of a duplicated descriptor
+    // matches the descriptor's first occurrence. (An exact copy of one
+    // has best == second == 0 and fails even the loose ratio test.)
+    const std::vector<Match> ties = match_features(query, train, loose);
+    bool saw_duplicate = false;
+    for (const Match& m : ties) {
+      const auto q = static_cast<std::size_t>(m.query_index);
+      if (q % 4 == 3) continue;  // a random query
+      const std::size_t t = (q * 5) % n_train;
+      std::size_t first = 0;
+      while (train[first].descriptor != train[t].descriptor) ++first;
+      EXPECT_EQ(static_cast<std::size_t>(m.train_index), first) << "query " << q;
+      saw_duplicate = saw_duplicate || first != t;
+    }
+    if (n_train >= 7) {
+      EXPECT_TRUE(saw_duplicate);
     }
   }
 }
