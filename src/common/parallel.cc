@@ -63,7 +63,10 @@ void ThreadPool::worker_loop(int lane) {
       active_workers_.fetch_add(1, std::memory_order_relaxed);
     }
     run_chunks();
-    active_workers_.fetch_sub(1, std::memory_order_release);
+    if (active_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lk(mu_);  // pairs with the submitter's quiesce wait
+      idle_cv_.notify_all();
+    }
   }
 }
 
@@ -101,12 +104,13 @@ void ThreadPool::for_chunks(std::int64_t begin, std::int64_t end, std::int64_t g
   }
 
   std::lock_guard<std::mutex> job_lk(job_mu_);
-  // Quiesce stragglers from the previous job before resetting state.
-  while (active_workers_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    // Quiesce stragglers from the previous job before resetting state.
+    // Workers register under mu_, so once none is active, none can
+    // start reading the job fields until job_seq_ moves below. The wait
+    // releases mu_, which the last straggler takes to notify.
+    std::unique_lock<std::mutex> lk(mu_);
+    idle_cv_.wait(lk, [&] { return active_workers_.load(std::memory_order_acquire) == 0; });
     fn_ = &fn;
     begin_ = begin;
     end_ = end;

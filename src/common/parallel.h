@@ -65,6 +65,7 @@ class ThreadPool {
   std::mutex mu_;                  // guards job fields + cvs
   std::condition_variable cv_;     // wakes workers for a new job
   std::condition_variable done_cv_;  // wakes the caller on completion
+  std::condition_variable idle_cv_;  // wakes a submitter once no worker is active
   std::mutex job_mu_;              // serializes external submitters
   bool stop_ = false;
   std::uint64_t job_seq_ = 0;
@@ -77,6 +78,7 @@ class ThreadPool {
   std::int64_t total_chunks_ = 0;
   std::atomic<std::int64_t> next_chunk_{0};
   std::atomic<std::int64_t> done_chunks_{0};
+  // Workers inside run_chunks(); incremented only under mu_.
   std::atomic<int> active_workers_{0};
   std::atomic<bool> cancelled_{false};
   std::exception_ptr error_;

@@ -3,19 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "vision/linalg.h"
 
 namespace mar::vision {
 namespace {
 
+// Pivot floor of the 4-point solve (see homography_4pt).
+constexpr double kMinPivot = 1e-9;
+
 struct Normalization {
   double cx = 0, cy = 0, scale = 1;
 };
 
 // Hartley normalization: translate centroid to origin, mean distance
-// sqrt(2).
-Normalization normalize_points(const std::vector<Point2f>& pts, std::vector<Point2f>& out) {
+// sqrt(2). `out` holds pts.size() points.
+Normalization normalize_points(std::span<const Point2f> pts, Point2f* out) {
   Normalization n;
   for (const Point2f& p : pts) {
     n.cx += p.x;
@@ -29,12 +33,40 @@ Normalization normalize_points(const std::vector<Point2f>& pts, std::vector<Poin
   }
   mean_dist /= static_cast<double>(pts.size());
   n.scale = mean_dist > 1e-9 ? std::sqrt(2.0) / mean_dist : 1.0;
-  out.resize(pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     out[i].x = static_cast<float>((pts[i].x - n.cx) * n.scale);
     out[i].y = static_cast<float>((pts[i].y - n.cy) * n.scale);
   }
   return n;
+}
+
+std::array<double, 9> matmul3(const std::array<double, 9>& a, const std::array<double, 9>& b) {
+  std::array<double, 9> c{};
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < 3; ++k) {
+        acc += a[static_cast<std::size_t>(i * 3 + k)] * b[static_cast<std::size_t>(k * 3 + j)];
+      }
+      c[static_cast<std::size_t>(i * 3 + j)] = acc;
+    }
+  }
+  return c;
+}
+
+// H = T_d^-1 * Hn * T_s, scaled so h[8] = 1 where that is possible.
+// T_s maps src -> normalized: [s, 0, -s*cx; 0, s, -s*cy; 0, 0, 1].
+Homography denormalize(const std::array<double, 9>& hn, const Normalization& tn_s,
+                       const Normalization& tn_d) {
+  const double ss = tn_s.scale, sd = tn_d.scale;
+  const std::array<double, 9> ts = {ss, 0, -ss * tn_s.cx, 0, ss, -ss * tn_s.cy, 0, 0, 1};
+  const std::array<double, 9> td_inv = {1.0 / sd, 0, tn_d.cx, 0, 1.0 / sd, tn_d.cy, 0, 0, 1};
+  Homography result;
+  result.h = matmul3(matmul3(td_inv, hn), ts);
+  if (std::fabs(result.h[8]) > 1e-12) {
+    for (double& v : result.h) v /= result.h[8];
+  }
+  return result;
 }
 
 }  // namespace
@@ -50,9 +82,9 @@ std::optional<Homography> homography_dlt(const std::vector<Point2f>& src,
                                          const std::vector<Point2f>& dst) {
   if (src.size() < 4 || src.size() != dst.size()) return std::nullopt;
 
-  std::vector<Point2f> ns, nd;
-  const Normalization tn_s = normalize_points(src, ns);
-  const Normalization tn_d = normalize_points(dst, nd);
+  std::vector<Point2f> ns(src.size()), nd(dst.size());
+  const Normalization tn_s = normalize_points(src, ns.data());
+  const Normalization tn_d = normalize_points(dst, nd.data());
 
   // Build A^T A directly (9x9) from the 2n x 9 DLT system.
   std::vector<double> ata(81, 0.0);
@@ -87,32 +119,52 @@ std::optional<Homography> homography_dlt(const std::vector<Point2f>& src,
     if (max_abs < 1e-12) return std::nullopt;
   }
 
-  // Denormalize: H = T_d^-1 * Hn * T_s.
-  // T_s maps src -> normalized: [s, 0, -s*cx; 0, s, -s*cy; 0, 0, 1].
-  const double ss = tn_s.scale, sd = tn_d.scale;
-  const std::array<double, 9> ts = {ss, 0, -ss * tn_s.cx, 0, ss, -ss * tn_s.cy, 0, 0, 1};
-  const std::array<double, 9> td_inv = {1.0 / sd, 0, tn_d.cx, 0, 1.0 / sd, tn_d.cy, 0, 0, 1};
+  return denormalize(hn, tn_s, tn_d);
+}
 
-  auto matmul = [](const std::array<double, 9>& a, const std::array<double, 9>& b) {
-    std::array<double, 9> c{};
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        double acc = 0.0;
-        for (int k = 0; k < 3; ++k) {
-          acc += a[static_cast<std::size_t>(i * 3 + k)] * b[static_cast<std::size_t>(k * 3 + j)];
-        }
-        c[static_cast<std::size_t>(i * 3 + j)] = acc;
-      }
-    }
-    return c;
-  };
+std::optional<Homography> homography_4pt(const std::array<Point2f, 4>& src,
+                                         const std::array<Point2f, 4>& dst) {
+  std::array<Point2f, 4> ns, nd;
+  const Normalization tn_s = normalize_points(src, ns.data());
+  const Normalization tn_d = normalize_points(dst, nd.data());
 
-  Homography result;
-  result.h = matmul(matmul(td_inv, hn), ts);
-  if (std::fabs(result.h[8]) > 1e-12) {
-    for (double& v : result.h) v /= result.h[8];
+  // The DLT system of homography_dlt with h8 = 1: eight equations in
+  // h0..h7, right-hand side the negated h8 column. Row-major 8x9 with
+  // the right-hand side in column 8.
+  double a[8][9];
+  for (int k = 0; k < 4; ++k) {
+    const double x = ns[static_cast<std::size_t>(k)].x, y = ns[static_cast<std::size_t>(k)].y;
+    const double u = nd[static_cast<std::size_t>(k)].x, v = nd[static_cast<std::size_t>(k)].y;
+    const double r1[9] = {-x, -y, -1, 0, 0, 0, u * x, u * y, -u};
+    const double r2[9] = {0, 0, 0, -x, -y, -1, v * x, v * y, -v};
+    std::copy(r1, r1 + 9, a[2 * k]);
+    std::copy(r2, r2 + 9, a[2 * k + 1]);
   }
-  return result;
+
+  // Gaussian elimination with partial pivoting. Normalized coordinates
+  // keep every entry O(1), so an absolute pivot floor separates
+  // degenerate samples (repeated or coincident points) from real ones.
+  for (int col = 0; col < 8; ++col) {
+    int pivot = col;
+    for (int r = col + 1; r < 8; ++r) {
+      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
+    }
+    if (std::fabs(a[pivot][col]) < kMinPivot) return std::nullopt;
+    if (pivot != col) std::swap(a[pivot], a[col]);
+    for (int r = col + 1; r < 8; ++r) {
+      const double f = a[r][col] / a[col][col];
+      if (f == 0.0) continue;
+      for (int c = col; c < 9; ++c) a[r][c] -= f * a[col][c];
+    }
+  }
+  std::array<double, 9> hn{};
+  hn[8] = 1.0;
+  for (int r = 7; r >= 0; --r) {
+    double acc = a[r][8];
+    for (int c = r + 1; c < 8; ++c) acc -= a[r][c] * hn[static_cast<std::size_t>(c)];
+    hn[static_cast<std::size_t>(r)] = acc / a[r][r];
+  }
+  return denormalize(hn, tn_s, tn_d);
 }
 
 std::optional<RansacResult> find_homography_ransac(const std::vector<Point2f>& src,
@@ -135,11 +187,12 @@ std::optional<RansacResult> find_homography_ransac(const std::vector<Point2f>& s
         }
       } while (!unique);
     }
-    const std::vector<Point2f> s4 = {src[static_cast<std::size_t>(idx[0])], src[static_cast<std::size_t>(idx[1])],
-                                     src[static_cast<std::size_t>(idx[2])], src[static_cast<std::size_t>(idx[3])]};
-    const std::vector<Point2f> d4 = {dst[static_cast<std::size_t>(idx[0])], dst[static_cast<std::size_t>(idx[1])],
-                                     dst[static_cast<std::size_t>(idx[2])], dst[static_cast<std::size_t>(idx[3])]};
-    const auto h = homography_dlt(s4, d4);
+    std::array<Point2f, 4> s4, d4;
+    for (int i = 0; i < 4; ++i) {
+      s4[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(idx[i])];
+      d4[static_cast<std::size_t>(i)] = dst[static_cast<std::size_t>(idx[i])];
+    }
+    const auto h = homography_4pt(s4, d4);
     if (!h) continue;
 
     std::vector<int> inliers;

@@ -1,4 +1,5 @@
-// Planar homography estimation: normalized DLT inside a RANSAC loop.
+// Planar homography estimation: RANSAC over minimal 4-point solves,
+// then a normalized least-squares DLT refit on the best inlier set.
 // The matching service estimates the object's pose in the frame from
 // feature correspondences against the reference image.
 #pragma once
@@ -29,6 +30,14 @@ struct Homography {
 [[nodiscard]] std::optional<Homography> homography_dlt(const std::vector<Point2f>& src,
                                                        const std::vector<Point2f>& dst);
 
+// Exact homography through 4 correspondences: the same Hartley-
+// normalized DLT system with h8 fixed to 1, solved by 8x8 Gaussian
+// elimination instead of a 9x9 eigendecomposition. Returns nullopt
+// when a pivot vanishes (repeated or coincident points).
+// Agrees with homography_dlt on the same 4 points up to rounding.
+[[nodiscard]] std::optional<Homography> homography_4pt(const std::array<Point2f, 4>& src,
+                                                       const std::array<Point2f, 4>& dst);
+
 struct RansacParams {
   int iterations = 200;
   float inlier_threshold = 3.0f;  // reprojection distance in pixels
@@ -40,6 +49,9 @@ struct RansacResult {
   std::vector<int> inliers;  // indices into the correspondence list
 };
 
+// Hypotheses come from homography_4pt on 4 distinct sampled indices
+// (degenerate samples are skipped); the best inlier set is refit with
+// homography_dlt.
 [[nodiscard]] std::optional<RansacResult> find_homography_ransac(
     const std::vector<Point2f>& src, const std::vector<Point2f>& dst,
     const RansacParams& params, Rng& rng);

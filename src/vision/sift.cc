@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <iterator>
 
 #include "common/parallel.h"
@@ -165,26 +167,98 @@ bool refine_extremum(const std::vector<Image>& dog, int s, float base_sigma, int
   return false;
 }
 
+// Window half-sizes (pixels around the rounded keypoint position) of
+// the orientation histogram and of the descriptor.
+int orientation_radius(float sigma_rel) {
+  return std::max(1, static_cast<int>(std::round(4.5f * sigma_rel)));
+}
+int descriptor_radius(float sigma_rel) {
+  const float cell = 3.0f * sigma_rel;  // histogram cell width in pixels
+  return static_cast<int>(std::round(cell * std::sqrt(2.0f) * (kDescWidth + 1) * 0.5f));
+}
+
+// Central-difference gradient magnitude and angle of one Gaussian
+// level, computed once per pixel and read by every orientation
+// histogram and descriptor whose window covers that pixel. Only the
+// pixels some window reads are filled (see mark/fill); the rest
+// hold stale values that nothing reads.
+struct GradientPlanes {
+  int width = 0;
+  int height = 0;
+  std::vector<float> mag;
+  std::vector<float> ang;  // atan2(gy, gx), [-pi, pi]
+  std::vector<std::uint8_t> marked;
+
+  GradientPlanes(int w, int h)
+      : width(w),
+        height(h),
+        mag(static_cast<std::size_t>(w) * static_cast<std::size_t>(h)),
+        ang(mag.size()),
+        marked(mag.size()) {
+    telemetry::profile_alloc_as("sift_gradients",
+                                mag.size() * (2 * sizeof(float) + sizeof(std::uint8_t)));
+  }
+  [[nodiscard]] std::size_t index(int x, int y) const {
+    return static_cast<std::size_t>(y) * static_cast<std::size_t>(width) +
+           static_cast<std::size_t>(x);
+  }
+  // Mark the square window of half-size `radius` around (cx, cy),
+  // clipped to the pixels with a central difference: [1, w-2]x[1, h-2].
+  void mark(int cx, int cy, int radius) {
+    const int x0 = std::max(1, cx - radius), x1 = std::min(width - 2, cx + radius);
+    const int y0 = std::max(1, cy - radius), y1 = std::min(height - 2, cy + radius);
+    if (x0 > x1) return;
+    for (int y = y0; y <= y1; ++y) {
+      std::fill_n(marked.begin() + static_cast<std::ptrdiff_t>(index(x0, y)), x1 - x0 + 1,
+                  std::uint8_t{1});
+    }
+  }
+  // Fill mag/ang at every marked pixel of `gauss`, in parallel over rows.
+  void fill(const Image& gauss) {
+    parallel_for(1, height - 1, 8, [&](std::int64_t y0, std::int64_t y1) {
+      for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y) {
+        for (int x = 1; x < width - 1; ++x) {
+          const std::size_t i = index(x, y);
+          if (!marked[i]) continue;
+          const float gx = gauss.at(x + 1, y) - gauss.at(x - 1, y);
+          const float gy = gauss.at(x, y + 1) - gauss.at(x, y - 1);
+          mag[i] = std::sqrt(gx * gx + gy * gy);
+          ang[i] = std::atan2(gy, gx);
+        }
+      }
+    });
+  }
+};
+
 // Dominant orientation(s) from a 36-bin gradient histogram.
-void compute_orientations(const Image& gauss, float x, float y, float sigma_rel,
+void compute_orientations(const GradientPlanes& grad, float x, float y, float sigma_rel,
                           std::vector<float>& angles) {
   angles.clear();
   float hist[kOrientationBins] = {};
-  const int radius = std::max(1, static_cast<int>(std::round(4.5f * sigma_rel)));
+  const int radius = orientation_radius(sigma_rel);
   const float weight_sigma = 1.5f * sigma_rel;
   const int cx = static_cast<int>(std::round(x));
   const int cy = static_cast<int>(std::round(y));
+  // The Gaussian weight depends on |i| and |j| only: one quadrant of
+  // exp() values serves all four.
+  const auto side = static_cast<std::size_t>(radius + 1);
+  std::vector<float> weights(side * side);
+  for (int j = 0; j <= radius; ++j) {
+    for (int i = 0; i <= radius; ++i) {
+      weights[static_cast<std::size_t>(j) * side + static_cast<std::size_t>(i)] =
+          std::exp(-static_cast<float>(i * i + j * j) / (2.0f * weight_sigma * weight_sigma));
+    }
+  }
 
   for (int j = -radius; j <= radius; ++j) {
     for (int i = -radius; i <= radius; ++i) {
       const int px = cx + i, py = cy + j;
-      if (px < 1 || px >= gauss.width() - 1 || py < 1 || py >= gauss.height() - 1) continue;
-      const float gx = gauss.at(px + 1, py) - gauss.at(px - 1, py);
-      const float gy = gauss.at(px, py + 1) - gauss.at(px, py - 1);
-      const float mag = std::sqrt(gx * gx + gy * gy);
-      const float ang = std::atan2(gy, gx);  // [-pi, pi]
-      const float w = std::exp(-static_cast<float>(i * i + j * j) /
-                               (2.0f * weight_sigma * weight_sigma));
+      if (px < 1 || px >= grad.width - 1 || py < 1 || py >= grad.height - 1) continue;
+      const std::size_t g = grad.index(px, py);
+      const float mag = grad.mag[g];
+      const float ang = grad.ang[g];
+      const float w = weights[static_cast<std::size_t>(std::abs(j)) * side +
+                              static_cast<std::size_t>(std::abs(i))];
       int bin = static_cast<int>(std::round((ang + kPi) / (2.0f * kPi) * kOrientationBins));
       bin = ((bin % kOrientationBins) + kOrientationBins) % kOrientationBins;
       hist[bin] += w * mag;
@@ -224,21 +298,22 @@ void compute_orientations(const Image& gauss, float x, float y, float sigma_rel,
 }
 
 // 4x4x8 gradient descriptor with trilinear interpolation.
-Descriptor compute_descriptor(const Image& gauss, float x, float y, float sigma_rel,
+Descriptor compute_descriptor(const GradientPlanes& grad, float x, float y, float sigma_rel,
                               float angle) {
   Descriptor desc{};
   const float cell = 3.0f * sigma_rel;  // histogram cell width in pixels
-  const int radius = static_cast<int>(
-      std::round(cell * std::sqrt(2.0f) * (kDescWidth + 1) * 0.5f));
+  const int radius = descriptor_radius(sigma_rel);
+  const int cx = static_cast<int>(std::round(x));
+  const int cy = static_cast<int>(std::round(y));
   const float cos_a = std::cos(-angle);
   const float sin_a = std::sin(-angle);
   const float weight_sigma = 0.5f * kDescWidth;
 
   for (int j = -radius; j <= radius; ++j) {
     for (int i = -radius; i <= radius; ++i) {
-      const int px = static_cast<int>(std::round(x)) + i;
-      const int py = static_cast<int>(std::round(y)) + j;
-      if (px < 1 || px >= gauss.width() - 1 || py < 1 || py >= gauss.height() - 1) continue;
+      const int px = cx + i;
+      const int py = cy + j;
+      if (px < 1 || px >= grad.width - 1 || py < 1 || py >= grad.height - 1) continue;
 
       // Rotate into the keypoint frame and express in cell units.
       const float rx = (cos_a * static_cast<float>(i) - sin_a * static_cast<float>(j)) / cell;
@@ -249,10 +324,9 @@ Descriptor compute_descriptor(const Image& gauss, float x, float y, float sigma_
         continue;
       }
 
-      const float gx = gauss.at(px + 1, py) - gauss.at(px - 1, py);
-      const float gy = gauss.at(px, py + 1) - gauss.at(px, py - 1);
-      const float mag = std::sqrt(gx * gx + gy * gy);
-      float theta = std::atan2(gy, gx) - angle;
+      const std::size_t g = grad.index(px, py);
+      const float mag = grad.mag[g];
+      float theta = grad.ang[g] - angle;
       while (theta < 0.0f) theta += 2.0f * kPi;
       while (theta >= 2.0f * kPi) theta -= 2.0f * kPi;
       const float obin = theta / (2.0f * kPi) * kDescBins;
@@ -305,14 +379,25 @@ FeatureList SiftDetector::detect(const Image& image) const {
   FeatureList features;
   if (image.empty() || image.width() < 32 || image.height() < 32) return features;
 
-  const ScaleSpace ss = build_scale_space(image, params_);
+  ScaleSpace ss = build_scale_space(image, params_);
   const int s = params_.scales_per_octave;
-  // Rows per band for the parallel extrema scan. Each band runs the
-  // full extremum -> refine -> orientation -> descriptor chain for its
-  // rows into a private list; bands are concatenated in row order, so
-  // the feature order (and every value) matches the serial y-major
-  // scan exactly at any pool size.
+  // Each octave runs in three phases, each parallel over independent
+  // outputs and concatenated in a fixed order, so the feature order
+  // (and every value) matches the serial y-major scan at any pool size:
+  //  (a) row bands scan the DoG layers for extrema and refine them into
+  //      candidates, concatenated in layer then row order;
+  //  (b) per Gaussian level, mark the union of the candidates' windows
+  //      and fill gradient magnitude/angle there once;
+  //  (c) orientations and descriptors per candidate, reading the planes.
   constexpr std::int64_t kBandRows = 8;
+  constexpr std::int64_t kCandidatesPerChunk = 2;
+
+  struct Candidate {
+    Keypoint kp;
+    int level = 0;  // Gaussian image closest to the keypoint's scale
+    float x = 0.0f, y = 0.0f;  // position in octave pixels
+    float sigma_rel = 0.0f;
+  };
 
   for (std::size_t o = 0; o < ss.dog.size(); ++o) {
     const auto& dog = ss.dog[o];
@@ -321,17 +406,18 @@ FeatureList SiftDetector::detect(const Image& image) const {
     const float oct_scale =
         ss.base_scale * std::pow(2.0f, static_cast<float>(o));
 
+    // (a) Extrema scan.
+    std::vector<Candidate> candidates;
     for (int layer = 1; layer <= s; ++layer) {
       const Image& d1 = dog[static_cast<std::size_t>(layer)];
-      std::vector<FeatureList> bands(
+      std::vector<std::vector<Candidate>> bands(
           static_cast<std::size_t>(ThreadPool::num_chunks(1, h - 1, kBandRows)));
       parallel_for_chunks(1, h - 1, kBandRows, [&](std::int64_t band, std::int64_t y0,
                                                    std::int64_t y1) {
         // Per-chunk scope: pool workers have their own (empty) stage
         // stacks, so each band annotates its own thread.
         telemetry::ProfScope prof_band("sift_extrema");
-        FeatureList& band_features = bands[static_cast<std::size_t>(band)];
-        std::vector<float> angles;
+        std::vector<Candidate>& band_candidates = bands[static_cast<std::size_t>(band)];
         for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y) {
           for (int x = 1; x < w - 1; ++x) {
             const float v = d1.at(x, y);
@@ -353,37 +439,71 @@ FeatureList SiftDetector::detect(const Image& image) const {
             }
             if (!is_max && !is_min) continue;
 
-            Keypoint kp;
+            Candidate c;
             if (!refine_extremum(dog, s, params_.base_sigma, static_cast<int>(o), ss.base_scale,
-                                 x, y, layer, params_, kp)) {
+                                 x, y, layer, params_, c.kp)) {
               continue;
             }
-
-            // Orientation and descriptor use the Gaussian image closest
-            // to the keypoint's scale within this octave.
-            const float sigma_rel = kp.scale / oct_scale;
-            int best_layer = static_cast<int>(std::round(
-                std::log2(std::max(sigma_rel / params_.base_sigma, 1e-6f)) *
-                static_cast<float>(s)));
-            best_layer = std::clamp(best_layer, 0, s + 2);
-            const Image& gimg = ss.gauss[o][static_cast<std::size_t>(best_layer)];
-            const float gx = kp.x / oct_scale;
-            const float gy = kp.y / oct_scale;
-
-            compute_orientations(gimg, gx, gy, sigma_rel, angles);
-            for (float ang : angles) {
-              Feature f;
-              f.keypoint = kp;
-              f.keypoint.angle = ang;
-              f.descriptor = compute_descriptor(gimg, gx, gy, sigma_rel, ang);
-              band_features.push_back(std::move(f));
-            }
+            c.sigma_rel = c.kp.scale / oct_scale;
+            c.level = std::clamp(static_cast<int>(std::round(
+                                     std::log2(std::max(c.sigma_rel / params_.base_sigma, 1e-6f)) *
+                                     static_cast<float>(s))),
+                                 0, s + 2);
+            c.x = c.kp.x / oct_scale;
+            c.y = c.kp.y / oct_scale;
+            band_candidates.push_back(c);
           }
         }
       });
-      for (FeatureList& band : bands) {
-        std::move(band.begin(), band.end(), std::back_inserter(features));
+      for (const std::vector<Candidate>& band : bands) {
+        candidates.insert(candidates.end(), band.begin(), band.end());
       }
+    }
+    // Nothing reads this octave's DoG planes after the scan; release
+    // them before the gradient planes are allocated.
+    ss.dog[o] = {};
+    if (candidates.empty()) continue;
+
+    // (b) + (c), one Gaussian level at a time, reusing one set of planes.
+    std::vector<FeatureList> described(candidates.size());
+    GradientPlanes grad(w, h);
+    std::vector<std::size_t> at_level;
+    for (int level = 0; level <= s + 2; ++level) {
+      at_level.clear();
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (candidates[i].level == level) at_level.push_back(i);
+      }
+      if (at_level.empty()) continue;
+      {
+        telemetry::ProfScope prof("sift_gradients");
+        std::fill(grad.marked.begin(), grad.marked.end(), std::uint8_t{0});
+        for (std::size_t i : at_level) {
+          const Candidate& c = candidates[i];
+          grad.mark(static_cast<int>(std::round(c.x)), static_cast<int>(std::round(c.y)),
+                    std::max(orientation_radius(c.sigma_rel), descriptor_radius(c.sigma_rel)));
+        }
+        grad.fill(ss.gauss[o][static_cast<std::size_t>(level)]);
+      }
+      parallel_for(0, static_cast<std::int64_t>(at_level.size()), kCandidatesPerChunk,
+                   [&](std::int64_t i0, std::int64_t i1) {
+        telemetry::ProfScope prof("sift_describe");
+        std::vector<float> angles;
+        for (std::int64_t k = i0; k < i1; ++k) {
+          const std::size_t i = at_level[static_cast<std::size_t>(k)];
+          const Candidate& c = candidates[i];
+          compute_orientations(grad, c.x, c.y, c.sigma_rel, angles);
+          for (float ang : angles) {
+            Feature f;
+            f.keypoint = c.kp;
+            f.keypoint.angle = ang;
+            f.descriptor = compute_descriptor(grad, c.x, c.y, c.sigma_rel, ang);
+            described[i].push_back(std::move(f));
+          }
+        }
+      });
+    }
+    for (FeatureList& list : described) {
+      std::move(list.begin(), list.end(), std::back_inserter(features));
     }
   }
 

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -113,7 +116,22 @@ TEST_F(TraceTest, UnmatchedEndIsIgnored) {
 TEST_F(TraceTest, ParallelRecordingIsLossless) {
   auto& t = Tracer::instance();
   constexpr std::int64_t kEvents = 20000;
+  const bool pooled = parallel_threads() > 1;
+  // The first chunk holds its lane until a pool worker has run a chunk,
+  // so some event is recorded off the calling thread however the
+  // scheduler wakes the workers. The wait is bounded: a pool that never
+  // runs a chunk on a worker fails the lane check below instead of
+  // hanging the test.
+  std::atomic<bool> worker_ran{false};
   parallel_for(0, kEvents, /*grain=*/64, [&](std::int64_t b, std::int64_t e) {
+    if (parallel_lane() > 0) worker_ran.store(true, std::memory_order_release);
+    if (b == 0 && pooled) {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!worker_ran.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
     for (std::int64_t i = b; i < e; ++i) {
       t.instant(1, spans::kDropBusy, i, ClientId{0},
                 FrameId{static_cast<std::uint64_t>(i)}, Stage::kPrimary);
@@ -132,7 +150,9 @@ TEST_F(TraceTest, ParallelRecordingIsLossless) {
     max_lane = std::max<int>(max_lane, e.lane);
   }
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
-  if (parallel_threads() > 1) EXPECT_GT(max_lane, 0);
+  if (pooled) {
+    EXPECT_GT(max_lane, 0);
+  }
 }
 
 TEST_F(TraceTest, NextTraceIdIsNonzeroAndUnique) {

@@ -3,11 +3,13 @@
 // bytes at pool size 1, 2, and hardware_concurrency().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -121,6 +123,61 @@ TEST_F(PoolTest, NestedCallRunsSeriallyWithoutDeadlock) {
     });
   });
   EXPECT_EQ(inner_total.load(), 80);
+}
+
+// Thousands of tiny back-to-back jobs of varying shape: a worker still
+// leaving job N must never run a chunk of job N+1 with N's fields (or
+// the reverse), so every chunk of every job runs exactly once, through
+// its own job's function, with its own bounds. Under
+// -DMAR_SANITIZE=thread this also catches the racing field reads. The
+// jobs' functions outlive the pool so a stray call stays observable.
+TEST_F(PoolTest, BackToBackTinyJobsRunEachChunkOnceWithItsBounds) {
+  constexpr int kJobs = 5000;
+  constexpr int kMaxChunks = 16;
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(kJobs) * kMaxChunks);
+  std::atomic<int> bad_bounds{0};
+  struct Shape {
+    std::int64_t begin, end, grain, chunks;
+  };
+  std::vector<Shape> shapes;
+  std::vector<ThreadPool::ChunkFn> fns;
+  for (int j = 0; j < kJobs; ++j) {
+    Shape sh;
+    sh.begin = j % 5;
+    sh.grain = 1 + j % 3;
+    sh.chunks = 1 + (j * 7) % kMaxChunks;
+    sh.end = sh.begin + (sh.chunks - 1) * sh.grain + 1 + j % sh.grain;
+    shapes.push_back(sh);
+    fns.emplace_back([&runs, &bad_bounds, sh, j](std::int64_t c, std::int64_t i0,
+                                                 std::int64_t i1) {
+      if (c < 0 || c >= sh.chunks || i0 != sh.begin + c * sh.grain ||
+          i1 != std::min(sh.end, sh.begin + (c + 1) * sh.grain)) {
+        bad_bounds.fetch_add(1);
+        return;
+      }
+      runs[static_cast<std::size_t>(j) * kMaxChunks + static_cast<std::size_t>(c)].fetch_add(1);
+    });
+  }
+  {
+    ThreadPool pool(4);
+    for (int j = 0; j < kJobs; ++j) {
+      const Shape& sh = shapes[static_cast<std::size_t>(j)];
+      ASSERT_EQ(ThreadPool::num_chunks(sh.begin, sh.end, sh.grain), sh.chunks);
+      pool.for_chunks(sh.begin, sh.end, sh.grain, fns[static_cast<std::size_t>(j)]);
+    }
+  }  // joins the workers: no stray call can land after the checks
+  EXPECT_EQ(bad_bounds.load(), 0);
+  int wrong = 0;
+  for (int j = 0; j < kJobs; ++j) {
+    for (int c = 0; c < kMaxChunks; ++c) {
+      const int expected = c < shapes[static_cast<std::size_t>(j)].chunks ? 1 : 0;
+      if (runs[static_cast<std::size_t>(j) * kMaxChunks + static_cast<std::size_t>(c)].load() !=
+          expected) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0);
 }
 
 TEST_F(PoolTest, GlobalPoolIsReusedAcrossCalls) {
@@ -261,18 +318,270 @@ TEST_F(DeterminismTest, BlurMatchesClampedReference) {
   }
 }
 
+// Seeded bright and dark blobs on smooth noise, several of them centred
+// a few pixels from the image border, so keypoint windows are clipped
+// by the border as well as spanning the 8-row scan bands.
+Image blob_frame() {
+  constexpr int kW = 160, kH = 120;
+  Image img(kW, kH);
+  Rng rng(23);
+  for (float& v : img.data()) v = static_cast<float>(rng.uniform(0.3, 0.7));
+  img = gaussian_blur(img, 2.0f);
+  struct Blob {
+    float x, y, sigma, amp;
+  };
+  std::vector<Blob> blobs = {{4, 30, 2.5f, 0.5f},    {kW - 5, 70, 3.0f, -0.5f},
+                             {50, 3, 2.0f, 0.5f},    {110, kH - 4, 2.5f, -0.4f},
+                             {3, 4, 2.0f, 0.6f},     {kW - 4, kH - 4, 2.0f, -0.6f}};
+  for (int i = 0; i < 24; ++i) {
+    blobs.push_back({static_cast<float>(rng.uniform(0, kW)), static_cast<float>(rng.uniform(0, kH)),
+                     static_cast<float>(rng.uniform(1.5, 5.0)),
+                     static_cast<float>(rng.uniform(-0.5, 0.5))});
+  }
+  for (const Blob& b : blobs) {
+    for (int y = 0; y < kH; ++y) {
+      for (int x = 0; x < kW; ++x) {
+        const float d2 = (static_cast<float>(x) - b.x) * (static_cast<float>(x) - b.x) +
+                         (static_cast<float>(y) - b.y) * (static_cast<float>(y) - b.y);
+        img.at(x, y) += b.amp * std::exp(-d2 / (2.0f * b.sigma * b.sigma));
+      }
+    }
+  }
+  return img;
+}
+
+// --- per-sample SIFT reference --------------------------------------------------
+//
+// Orientation histogram and descriptor as straightforward per-sample
+// loops: every sample computes its own central difference, sqrt and
+// atan2 on the Gaussian level. The detector shares one gradient plane
+// per level between both and must reproduce these loops bit for bit,
+// including for windows clipped by the border.
+
+constexpr float kRefPi = 3.14159265358979323846f;
+
+// Gaussian level `level` of octave `octave`, built with the detector's
+// sigma schedule (default SiftParams: no upsampling, input sigma 0.5).
+Image reference_gauss_level(const Image& input, const SiftParams& p, int octave, int level) {
+  const float diff = std::sqrt(std::max(p.base_sigma * p.base_sigma - 0.25f, 0.01f));
+  Image current = gaussian_blur(input, diff);
+  const int s = p.scales_per_octave;
+  const float k = std::pow(2.0f, 1.0f / static_cast<float>(s));
+  for (int o = 0;; ++o) {
+    std::vector<Image> gauss = {current};
+    float sigma = p.base_sigma;
+    for (int i = 1; i < s + 3; ++i) {
+      const float next_sigma = sigma * k;
+      const float inc = std::sqrt(std::max(next_sigma * next_sigma - sigma * sigma, 1e-6f));
+      gauss.push_back(gaussian_blur(gauss.back(), inc));
+      sigma = next_sigma;
+    }
+    if (o == octave) return gauss[static_cast<std::size_t>(level)];
+    current = half_size(gauss[static_cast<std::size_t>(s)]);
+  }
+}
+
+std::vector<float> reference_orientations(const Image& gauss, float x, float y,
+                                          float sigma_rel) {
+  constexpr int kBins = 36;
+  float hist[kBins] = {};
+  const int radius = std::max(1, static_cast<int>(std::round(4.5f * sigma_rel)));
+  const float weight_sigma = 1.5f * sigma_rel;
+  const int cx = static_cast<int>(std::round(x));
+  const int cy = static_cast<int>(std::round(y));
+  for (int j = -radius; j <= radius; ++j) {
+    for (int i = -radius; i <= radius; ++i) {
+      const int px = cx + i, py = cy + j;
+      if (px < 1 || px >= gauss.width() - 1 || py < 1 || py >= gauss.height() - 1) continue;
+      const float gx = gauss.at(px + 1, py) - gauss.at(px - 1, py);
+      const float gy = gauss.at(px, py + 1) - gauss.at(px, py - 1);
+      const float mag = std::sqrt(gx * gx + gy * gy);
+      const float ang = std::atan2(gy, gx);
+      const float w = std::exp(-static_cast<float>(i * i + j * j) /
+                               (2.0f * weight_sigma * weight_sigma));
+      int bin = static_cast<int>(std::round((ang + kRefPi) / (2.0f * kRefPi) * kBins));
+      bin = ((bin % kBins) + kBins) % kBins;
+      hist[bin] += w * mag;
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    float smoothed[kBins];
+    for (int b = 0; b < kBins; ++b) {
+      smoothed[b] = (hist[(b + kBins - 1) % kBins] + hist[b] + hist[(b + 1) % kBins]) / 3.0f;
+    }
+    std::copy(smoothed, smoothed + kBins, hist);
+  }
+  std::vector<float> angles;
+  float max_val = 0.0f;
+  for (float v : hist) max_val = std::max(max_val, v);
+  if (max_val <= 0.0f) return angles;
+  for (int b = 0; b < kBins; ++b) {
+    const int prev = (b + kBins - 1) % kBins;
+    const int next = (b + 1) % kBins;
+    if (hist[b] >= 0.8f * max_val && hist[b] > hist[prev] && hist[b] > hist[next]) {
+      const float denom = hist[prev] - 2.0f * hist[b] + hist[next];
+      const float delta =
+          std::fabs(denom) > 1e-9f ? 0.5f * (hist[prev] - hist[next]) / denom : 0.0f;
+      float ang = (static_cast<float>(b) + delta) / kBins * 2.0f * kRefPi - kRefPi;
+      if (ang < 0.0f) ang += 2.0f * kRefPi;
+      if (ang >= 2.0f * kRefPi) ang -= 2.0f * kRefPi;
+      angles.push_back(ang);
+    }
+  }
+  return angles;
+}
+
+Descriptor reference_descriptor(const Image& gauss, float x, float y, float sigma_rel,
+                                float angle) {
+  constexpr int kWidth = 4, kBins = 8;
+  Descriptor desc{};
+  const float cell = 3.0f * sigma_rel;
+  const int radius = static_cast<int>(std::round(cell * std::sqrt(2.0f) * (kWidth + 1) * 0.5f));
+  const float cos_a = std::cos(-angle);
+  const float sin_a = std::sin(-angle);
+  const float weight_sigma = 0.5f * kWidth;
+  for (int j = -radius; j <= radius; ++j) {
+    for (int i = -radius; i <= radius; ++i) {
+      const int px = static_cast<int>(std::round(x)) + i;
+      const int py = static_cast<int>(std::round(y)) + j;
+      if (px < 1 || px >= gauss.width() - 1 || py < 1 || py >= gauss.height() - 1) continue;
+      const float rx = (cos_a * static_cast<float>(i) - sin_a * static_cast<float>(j)) / cell;
+      const float ry = (sin_a * static_cast<float>(i) + cos_a * static_cast<float>(j)) / cell;
+      const float cbin_x = rx + kWidth / 2.0f - 0.5f;
+      const float cbin_y = ry + kWidth / 2.0f - 0.5f;
+      if (cbin_x <= -1.0f || cbin_x >= kWidth || cbin_y <= -1.0f || cbin_y >= kWidth) continue;
+      const float gx = gauss.at(px + 1, py) - gauss.at(px - 1, py);
+      const float gy = gauss.at(px, py + 1) - gauss.at(px, py - 1);
+      const float mag = std::sqrt(gx * gx + gy * gy);
+      float theta = std::atan2(gy, gx) - angle;
+      while (theta < 0.0f) theta += 2.0f * kRefPi;
+      while (theta >= 2.0f * kRefPi) theta -= 2.0f * kRefPi;
+      const float obin = theta / (2.0f * kRefPi) * kBins;
+      const float w = std::exp(-(rx * rx + ry * ry) / (2.0f * weight_sigma * weight_sigma));
+      const int x0 = static_cast<int>(std::floor(cbin_x));
+      const int y0 = static_cast<int>(std::floor(cbin_y));
+      const int o0 = static_cast<int>(std::floor(obin));
+      const float fx = cbin_x - static_cast<float>(x0);
+      const float fy = cbin_y - static_cast<float>(y0);
+      const float fo = obin - static_cast<float>(o0);
+      for (int dyy = 0; dyy <= 1; ++dyy) {
+        const int yb = y0 + dyy;
+        if (yb < 0 || yb >= kWidth) continue;
+        const float wy = dyy ? fy : 1.0f - fy;
+        for (int dxx = 0; dxx <= 1; ++dxx) {
+          const int xb = x0 + dxx;
+          if (xb < 0 || xb >= kWidth) continue;
+          const float wx = dxx ? fx : 1.0f - fx;
+          for (int doo = 0; doo <= 1; ++doo) {
+            const int ob = (o0 + doo) % kBins;
+            const float wo = doo ? fo : 1.0f - fo;
+            desc[static_cast<std::size_t>((yb * kWidth + xb) * kBins + ob)] +=
+                w * mag * wy * wx * wo;
+          }
+        }
+      }
+    }
+  }
+  auto normalize = [&desc] {
+    float norm = 0.0f;
+    for (float v : desc) norm += v * v;
+    norm = std::sqrt(norm);
+    if (norm > 1e-9f) {
+      for (float& v : desc) v /= norm;
+    }
+  };
+  normalize();
+  for (float& v : desc) v = std::min(v, 0.2f);
+  normalize();
+  return desc;
+}
+
+// Every feature's orientation set and descriptor equal the per-sample
+// reference on its Gaussian level (no max_features cut, so each
+// keypoint keeps all its orientations, in order).
+TEST_F(DeterminismTest, SiftFeaturesMatchPerSampleReference) {
+  SiftParams unlimited;
+  unlimited.max_features = 0;
+  const SiftDetector detector(unlimited);
+  const int s = unlimited.scales_per_octave;
+  for (const Image& frame : {test_frame(), blob_frame()}) {
+    for (int n : {1, 4}) {
+      set_parallel_threads(n);
+      const FeatureList features = detector.detect(frame);
+      ASSERT_FALSE(features.empty());
+      std::map<std::pair<int, int>, Image> levels;
+      std::size_t i = 0;
+      while (i < features.size()) {
+        const Keypoint& kp = features[i].keypoint;
+        const float oct_scale = std::pow(2.0f, static_cast<float>(kp.octave));
+        const float sigma_rel = kp.scale / oct_scale;
+        const int level = std::clamp(
+            static_cast<int>(std::round(
+                std::log2(std::max(sigma_rel / unlimited.base_sigma, 1e-6f)) *
+                static_cast<float>(s))),
+            0, s + 2);
+        auto it = levels.find({kp.octave, level});
+        if (it == levels.end()) {
+          it = levels.emplace(std::make_pair(kp.octave, level),
+                              reference_gauss_level(frame, unlimited, kp.octave, level))
+                   .first;
+        }
+        const float x = kp.x / oct_scale, y = kp.y / oct_scale;
+        const std::vector<float> angles = reference_orientations(it->second, x, y, sigma_rel);
+        ASSERT_FALSE(angles.empty()) << "feature " << i;
+        for (std::size_t a = 0; a < angles.size(); ++a, ++i) {
+          ASSERT_LT(i, features.size());
+          const Feature& f = features[i];
+          ASSERT_EQ(f.keypoint.x, kp.x) << "feature " << i;
+          ASSERT_EQ(f.keypoint.y, kp.y) << "feature " << i;
+          ASSERT_EQ(f.keypoint.angle, angles[a]) << "feature " << i;
+          const Descriptor ref = reference_descriptor(it->second, x, y, sigma_rel, angles[a]);
+          for (int d = 0; d < kDescriptorDim; ++d) {
+            ASSERT_EQ(f.descriptor[static_cast<std::size_t>(d)], ref[static_cast<std::size_t>(d)])
+                << "feature " << i << " dim " << d << " pool " << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Orientation, descriptor and the gradient planes they share must not
+// depend on how candidates, bands and plane rows fall on lanes. The
+// frames cover windows clipped by the image border and keypoints with
+// several dominant orientations (one feature per orientation).
 TEST_F(DeterminismTest, SiftFeaturesBitIdenticalAcrossPoolSizes) {
-  const Image frame = test_frame();
   SiftParams params;
   params.max_features = 300;
   const SiftDetector detector(params);
-  set_parallel_threads(1);
-  const FeatureList serial = detector.detect(frame);
-  ASSERT_FALSE(serial.empty());
-  for (int n : pool_sizes()) {
-    set_parallel_threads(n);
-    expect_features_identical(serial, detector.detect(frame));
+  std::vector<int> sizes = {1, 2, 3, 4};
+  sizes.push_back(std::max(static_cast<int>(std::thread::hardware_concurrency()), 1));
+  bool saw_border_window = false, saw_multi_orientation = false;
+  for (const Image& frame : {test_frame(), blob_frame()}) {
+    set_parallel_threads(1);
+    const FeatureList serial = detector.detect(frame);
+    ASSERT_FALSE(serial.empty());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const Keypoint& kp = serial[i].keypoint;
+      // Octave-0 keypoints within a descriptor radius of the border.
+      if (kp.octave == 0 &&
+          std::min({kp.x, kp.y, static_cast<float>(frame.width() - 1) - kp.x,
+                    static_cast<float>(frame.height() - 1) - kp.y}) < 8.0f) {
+        saw_border_window = true;
+      }
+      if (i > 0 && serial[i - 1].keypoint.x == kp.x && serial[i - 1].keypoint.y == kp.y &&
+          serial[i - 1].keypoint.angle != kp.angle) {
+        saw_multi_orientation = true;
+      }
+    }
+    for (int n : sizes) {
+      SCOPED_TRACE("pool size " + std::to_string(n));
+      set_parallel_threads(n);
+      expect_features_identical(serial, detector.detect(frame));
+    }
   }
+  EXPECT_TRUE(saw_border_window);
+  EXPECT_TRUE(saw_multi_orientation);
 }
 
 TEST_F(DeterminismTest, MatchSetBitIdenticalAndEqualToNaiveReference) {
